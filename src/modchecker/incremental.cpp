@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
 #include "vmm/phys_mem.hpp"
 #include "vmm/write_watch.hpp"
 
@@ -26,10 +25,40 @@ IncrementalScanner::~IncrementalScanner() {
   }
 }
 
-void IncrementalScanner::extract_full(AcquireStage::Session& session,
-                                      const std::string& module_name,
-                                      const ModuleInfo& info,
-                                      CacheEntry& entry) {
+PoolScanReport IncrementalScanner::scan(
+    const std::string& module_name, const std::vector<vmm::DomainId>& pool) {
+  PoolScanReport report;
+  report.module_name = module_name;
+  std::vector<CacheEntry*> entries;
+  std::vector<const Extraction*> copies;
+  entries.reserve(pool.size());
+  copies.reserve(pool.size());
+  for (const vmm::DomainId vm : pool) {
+    CacheEntry& entry = fetch(vm, module_name);
+    report.cpu_times += entry.ex.times;
+    report.wall_time += entry.ex.times.total();
+    entries.push_back(&entry);
+    copies.push_back(&entry.ex);
+  }
+  return pipeline_.cross_check(
+      pool, copies,
+      [&](SimClock& clock) {
+        return refresh_canonical(module_name, pool, entries, clock);
+      },
+      std::move(report));
+}
+
+void IncrementalScanner::drop(CacheEntry& entry) {
+  if (entry.watch != vmm::WriteWatch::kNoWatch) {
+    context_.hypervisor->write_watch().unregister(entry.watch);
+    entry.watch = vmm::WriteWatch::kNoWatch;
+  }
+  entry.ex.found = false;
+}
+
+Fallible<IncrementalScanner::Refresh> IncrementalScanner::extract_full(
+    AcquireStage::Session& session, const std::string& module_name,
+    const ModuleInfo& info, CacheEntry& entry) {
   vmi::VmiSession& s = session.session();
   if (entry.watch != vmm::WriteWatch::kNoWatch) {
     s.unwatch(entry.watch);
@@ -41,22 +70,26 @@ void IncrementalScanner::extract_full(AcquireStage::Session& session,
   Fallible<vmm::WriteWatch::WatchId> watch =
       s.try_watch_range(info.base, info.size_of_image);
   if (!watch.ok()) {
-    // The scanner keeps the legacy throwing contract (see scan()).
-    throw GuestFaultError(std::move(watch.fault()));
+    return std::move(watch.fault());
   }
   entry.watch = watch.value();
   entry.frames = context_.hypervisor->write_watch().watched_frames(entry.watch);
 
-  const AcquireStage& acquire = pipeline_.acquire();
-  auto image = acquire.extract_module(session, module_name);
-  MC_CHECK(image.has_value(), "module vanished between list walk and copy");
-  entry.found = true;
+  Fallible<std::optional<ModuleImage>> image =
+      pipeline_.acquire().try_extract_module(session, module_name,
+                                             ExtractMode::kCopy);
+  if (!image.ok()) {
+    return std::move(image.fault());
+  }
+  if (!image.value()) {
+    return Refresh::kNotLoaded;  // unloaded between list walk and copy
+  }
   entry.base = info.base;
-  ++entry.generation;
-  entry.image = std::move(*image);
+  entry.image = std::move(*image.value());
+  return Refresh::kChanged;
 }
 
-bool IncrementalScanner::patch_dirty_pages(
+Fallible<bool> IncrementalScanner::patch_dirty_pages(
     AcquireStage::Session& session, CacheEntry& entry,
     const std::vector<std::uint32_t>& dirty_pages) {
   vmi::VmiSession& s = session.session();
@@ -74,8 +107,11 @@ bool IncrementalScanner::patch_dirty_pages(
     // different frames.  A moved frame means the cached frame map — and
     // the watch registered over it — is stale; fall back to a full
     // extraction + re-registration.
-    const std::uint64_t pa = s.translate_kv2p(page_va);
-    if (static_cast<std::uint32_t>(pa >> vmm::kFrameShift) !=
+    Fallible<std::uint64_t> pa = s.try_translate_kv2p(page_va);
+    if (!pa.ok()) {
+      return std::move(pa.fault());
+    }
+    if (static_cast<std::uint32_t>(pa.value() >> vmm::kFrameShift) !=
         entry.frames[page]) {
       return false;
     }
@@ -83,8 +119,11 @@ bool IncrementalScanner::patch_dirty_pages(
     const std::uint32_t lo = std::max(page_va, base);
     const std::uint32_t hi =
         std::min(page_va + vmm::kFrameSize, base + image_size);
-    s.read_va(lo, MutableByteView(entry.image.bytes.data(), image_size)
-                      .subspan(lo - base, hi - lo));
+    if (MaybeFault fault = s.try_read_va(
+            lo, MutableByteView(entry.image.bytes.data(), image_size)
+                    .subspan(lo - base, hi - lo))) {
+      return std::move(*fault);
+    }
     entry.last_changed_rvas.emplace_back(lo - base, hi - base);
     ++stats_.frames_reread;
     frames_reread_.inc();
@@ -98,24 +137,22 @@ CanonicalPool* IncrementalScanner::refresh_canonical(
   if (!pipeline_.normalize().enabled()) {
     return nullptr;
   }
-  // Reference = first found copy in pool order, mirroring pool_scan.
-  std::size_t ref_index = pool.size();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (entries[i]->found) {
-      ref_index = i;
-      break;
-    }
-  }
-  if (ref_index == pool.size()) {
+  // Reference = first parsed copy in pool order, mirroring pool_scan.
+  const auto usable = [](const CacheEntry* e) {
+    return e->ex.found && !e->ex.parse_failed;
+  };
+  const auto ref = std::find_if(entries.begin(), entries.end(), usable);
+  if (ref == entries.end()) {
     canon_.erase(module_name);
     return nullptr;
   }
+  const auto ref_index = static_cast<std::size_t>(ref - entries.begin());
 
   CanonState& state = canon_[module_name];
   const vmm::DomainId ref_vm = pool[ref_index];
-  const CacheEntry& ref_entry = *entries[ref_index];
+  const Extraction& ref_ex = (*ref)->ex;
   if (!state.pool || state.ref_vm != ref_vm ||
-      state.ref_generation != ref_entry.generation) {
+      state.ref_generation != ref_ex.generation) {
     // No pool yet, or the borrowed reference changed content/identity:
     // O(t) rebuild — the cost a fresh scan pays every tick.
     state.pool = std::make_unique<CanonicalPool>(
@@ -123,11 +160,11 @@ CanonicalPool* IncrementalScanner::refresh_canonical(
         context_.metrics, context_.policy());
     state.generations.clear();
     state.ref_vm = ref_vm;
-    state.ref_generation = ref_entry.generation;
+    state.ref_generation = ref_ex.generation;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (entries[i]->found) {
-        state.pool->add(entries[i]->parsed, clock);
-        state.generations[pool[i]] = entries[i]->generation;
+      if (usable(entries[i])) {
+        state.pool->add(entries[i]->ex.parsed, clock);
+        state.generations[pool[i]] = entries[i]->ex.generation;
       }
     }
     state.pool->finalize(clock);
@@ -136,32 +173,95 @@ CanonicalPool* IncrementalScanner::refresh_canonical(
 
   // Stable reference: only changed copies re-normalize (O(changed)).
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i == ref_index || !entries[i]->found) {
+    const CacheEntry& entry = *entries[i];
+    if (i == ref_index || !usable(&entry)) {
       continue;
     }
     const auto it = state.generations.find(pool[i]);
     const std::uint64_t have =
         it == state.generations.end() ? 0 : it->second;
-    if (have != entries[i]->generation) {
+    if (have != entry.ex.generation) {
       // The dirty-range mask is only a faithful delta when the pool saw
       // the generation immediately before a single partial refresh;
       // anything else (full re-extraction, missed generations) updates
       // every item.
-      const auto* changed = entries[i]->last_refresh_partial &&
-                                    have + 1 == entries[i]->generation
-                                ? &entries[i]->last_changed_rvas
-                                : nullptr;
-      state.pool->update(entries[i]->parsed, clock, changed);
-      state.generations[pool[i]] = entries[i]->generation;
+      const auto* changed =
+          entry.last_refresh_partial && have + 1 == entry.ex.generation
+              ? &entry.last_changed_rvas
+              : nullptr;
+      state.pool->update(entry.ex.parsed, clock, changed);
+      state.generations[pool[i]] = entry.ex.generation;
     }
   }
   return state.pool.get();
 }
 
+Fallible<IncrementalScanner::Refresh> IncrementalScanner::refresh(
+    AcquireStage::Session& session, const std::string& module_name,
+    CacheEntry& entry) {
+  // The list walk is always needed (cheap relative to a copy): the module
+  // could have been unloaded or rebased since the last scan.
+  Fallible<std::optional<ModuleInfo>> found =
+      pipeline_.acquire().try_find_module(session, module_name);
+  if (!found.ok()) {
+    return std::move(found.fault());
+  }
+  const std::optional<ModuleInfo>& info = found.value();
+  if (!info) {
+    return Refresh::kNotLoaded;  // an answer, not a fault
+  }
+
+  // O(1) watch query against the cached extraction; dirty entries retry
+  // the O(changed bytes) partial refresh before falling back to a full
+  // re-extraction.
+  vmi::VmiSession& s = session.session();
+  const bool cached = entry.ex.found && entry.base == info->base &&
+                      entry.image.bytes.size() == info->size_of_image &&
+                      entry.watch != vmm::WriteWatch::kNoWatch;
+  if (cached && !s.watch_dirty(entry.watch)) {
+    ++stats_.cache_reuses;
+    cache_reuses_.inc();
+    return Refresh::kClean;
+  }
+  if (entry.ex.found) {
+    ++stats_.invalidations;  // dirty, rebased or resized
+  }
+  // From the first change to the cached copy until a successful attempt
+  // re-parses it (parse_vm), the copy is not servable.  An attempt that
+  // fails in between — with a returned fault, or a MemoryError /
+  // NotFoundError the retry loop converts — may have drained the watch,
+  // half patched the image, or registered a clean watch over a copy that
+  // never finished; with found false, the retry or the next tick
+  // re-extracts instead.
+  entry.ex.found = false;
+  if (cached) {
+    const std::vector<std::uint32_t> dirty = s.watch_drain(entry.watch);
+    Fallible<bool> patched = patch_dirty_pages(session, entry, dirty);
+    if (!patched.ok()) {
+      return std::move(patched.fault());
+    }
+    if (patched.value()) {
+      ++stats_.partial_refreshes;
+      partial_refreshes_.inc();
+      entry.last_refresh_partial = true;
+      return Refresh::kChanged;
+    }
+  }
+
+  ++stats_.full_extractions;
+  entry.last_refresh_partial = false;
+  entry.last_changed_rvas.clear();
+  return extract_full(session, module_name, *info, entry);
+}
+
 IncrementalScanner::CacheEntry& IncrementalScanner::fetch(
-    vmm::DomainId vm, const std::string& module_name, ComponentTimes& times) {
+    vmm::DomainId vm, const std::string& module_name) {
   CacheEntry& entry = cache_[{vm, module_name}];
-  vmm::WriteWatch& watch = context_.hypervisor->write_watch();
+  Extraction& ex = entry.ex;
+  ex.times = ComponentTimes{};
+  ex.faults.clear();
+  ex.attempts = 1;
+  ex.unavailable = false;
 
   // Domain-generation shortcut: the per-domain write generation advances
   // on EVERY guest write — a module unload rewrites the loader list, a
@@ -172,158 +272,36 @@ IncrementalScanner::CacheEntry& IncrementalScanner::fetch(
   // replaces them.  The generation is read BEFORE any session work below
   // and stored only on success, so a write racing a fetch leaves the
   // stored value behind the live one and the next scan re-checks.
-  const std::uint64_t domain_generation = watch.domain_write_generation(vm);
-  if (entry.found && entry.watch != vmm::WriteWatch::kNoWatch &&
+  const std::uint64_t domain_generation =
+      context_.hypervisor->write_watch().domain_write_generation(vm);
+  if (ex.found && entry.watch != vmm::WriteWatch::kNoWatch &&
       entry.domain_generation == domain_generation) {
     ++stats_.cache_reuses;
     cache_reuses_.inc();
-    times.searcher += context_.config.vmi_costs.watch_query;
+    ex.times.searcher = context_.config.vmi_costs.watch_query;
     return entry;
   }
 
-  SimClock searcher_clock;
-  const AcquireStage& acquire = pipeline_.acquire();
-  AcquireStage::Session session = acquire.open(vm, searcher_clock);
-
-  // The list walk is always needed (cheap relative to a copy): the module
-  // could have been unloaded or rebased since the last scan.
-  const auto info = acquire.find_module(session, module_name);
-  if (!info) {
-    if (entry.watch != vmm::WriteWatch::kNoWatch) {
-      watch.unregister(entry.watch);
-    }
-    entry = CacheEntry{};  // drop any stale cache
-    times.searcher += searcher_clock.now();
+  Refresh outcome = Refresh::kNotLoaded;
+  const bool answered = pipeline_.acquire_vm(
+      vm, module_name, ex, [&](AcquireStage::Session& session) -> MaybeFault {
+        Fallible<Refresh> refreshed = refresh(session, module_name, entry);
+        if (!refreshed.ok()) {
+          return std::move(refreshed.fault());
+        }
+        outcome = refreshed.value();
+        return std::nullopt;
+      });
+  if (!answered || outcome == Refresh::kNotLoaded) {
+    drop(entry);  // quarantined, or answered "not loaded"
     return entry;
-  }
-
-  // O(1) watch query against the cached extraction; dirty entries retry
-  // the O(changed bytes) partial refresh before falling back to a full
-  // re-extraction.
-  bool need_full = true;
-  if (entry.found && entry.base == info->base &&
-      entry.image.bytes.size() == info->size_of_image &&
-      entry.watch != vmm::WriteWatch::kNoWatch) {
-    if (!session.session().watch_dirty(entry.watch)) {
-      ++stats_.cache_reuses;
-      cache_reuses_.inc();
-      // The module's frames are clean even though the domain generation
-      // moved (writes elsewhere); re-anchor the shortcut at the value read
-      // before this fetch's session work.
-      entry.domain_generation = domain_generation;
-      times.searcher += searcher_clock.now();
-      return entry;
-    }
-    ++stats_.invalidations;
-    const std::vector<std::uint32_t> dirty =
-        session.session().watch_drain(entry.watch);
-    if (patch_dirty_pages(session, entry, dirty)) {
-      ++entry.generation;
-      ++stats_.partial_refreshes;
-      partial_refreshes_.inc();
-      entry.last_refresh_partial = true;
-      need_full = false;
-    }
-  } else if (entry.found) {
-    ++stats_.invalidations;  // rebased/resized — cache unusable
-  }
-
-  if (need_full) {
-    ++stats_.full_extractions;
-    extract_full(session, module_name, *info, entry);
-    entry.last_refresh_partial = false;
-    entry.last_changed_rvas.clear();
   }
   entry.domain_generation = domain_generation;
-  times.searcher += searcher_clock.now();
-
-  SimClock parser_clock;
-  parser_clock.set_slowdown(context_.hypervisor->dom0_slowdown());
-  entry.parsed = pipeline_.parse().parse_strict(entry.image, parser_clock);
-  times.parser += parser_clock.now();
+  if (outcome == Refresh::kChanged) {
+    ++ex.generation;
+    pipeline_.parse_vm(vm, module_name, entry.image, ex);
+  }
   return entry;
-}
-
-PoolScanReport IncrementalScanner::scan(
-    const std::string& module_name, const std::vector<vmm::DomainId>& pool) {
-  PoolScanReport report;
-  report.module_name = module_name;
-
-  std::vector<CacheEntry*> entries;
-  entries.reserve(pool.size());
-  for (const vmm::DomainId vm : pool) {
-    ComponentTimes times;
-    entries.push_back(&fetch(vm, module_name, times));
-    report.cpu_times += times;
-    report.wall_time += times.total();
-  }
-
-  std::vector<PoolVmVerdict> verdicts(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    verdicts[i].vm = pool[i];
-    // The incremental front half keeps the legacy throwing contract (a
-    // guest fault unwinds the scan), so every VM that reaches this point
-    // answered: full quorum by construction.
-    verdicts[i].peers_total = pool.empty() ? 0 : pool.size() - 1;
-    verdicts[i].peers_answered = verdicts[i].peers_total;
-  }
-  SimClock checker_clock;
-  checker_clock.set_slowdown(context_.hypervisor->dom0_slowdown());
-  // Canonical fast path over the persistent pool: a changed copy pays one
-  // normalization (inside refresh_canonical) instead of a full pairwise
-  // comparison against every peer, so a dirty tick's checker cost is
-  // O(changed copies), not O(changed copies * t).  Ineligible copies drop
-  // their pairs to the exact pairwise fallback, verdict-identical to the
-  // slow path — the same contract pool_scan's fast path keeps.
-  CanonicalPool* canon =
-      refresh_canonical(module_name, pool, entries, checker_clock);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (!entries[i]->found) {
-      continue;
-    }
-    for (std::size_t j = i + 1; j < pool.size(); ++j) {
-      if (!entries[j]->found) {
-        continue;
-      }
-      ++verdicts[i].total;
-      ++verdicts[j].total;
-
-      bool all_match;
-      if (canon != nullptr && canon->eligible(pool[i]) &&
-          canon->eligible(pool[j])) {
-        ++report.fastpath_pairs;
-        checker_clock.charge(context_.config.host_costs.digest_pair_fixed);
-        all_match = canon->digests(pool[i]) == canon->digests(pool[j]);
-      } else {
-        ++report.fallback_pairs;
-        PairCacheEntry& pair =
-            pair_cache_[{module_name, pool[i], pool[j]}];
-        if (pair.generation_a == entries[i]->generation &&
-            pair.generation_b == entries[j]->generation &&
-            pair.generation_a != 0) {
-          // Neither side changed since this pair was last compared.
-          ++stats_.comparisons_reused;
-          all_match = pair.all_match;
-        } else {
-          ++stats_.comparisons_computed;
-          const PairComparison cmp = pipeline_.compare().compare(
-              entries[i]->parsed, entries[j]->parsed, checker_clock);
-          all_match = cmp.all_match;
-          pair = {entries[i]->generation, entries[j]->generation, all_match};
-        }
-      }
-      if (all_match) {
-        ++verdicts[i].successes;
-        ++verdicts[j].successes;
-      }
-    }
-  }
-  report.cpu_times.checker += checker_clock.now();
-  report.wall_time += checker_clock.now();
-
-  pipeline_.vote().finalize(verdicts);
-  report.verdicts = std::move(verdicts);
-  return report;
 }
 
 }  // namespace mc::core

@@ -1,4 +1,4 @@
-// Incremental pool scanner — write-watch-driven re-scanning.
+// Incremental pool scanner — a WriteWatch cache in front of pool_scan.
 //
 // The paper's prototype copies every module from every VM on every check;
 // Fig. 7 shows that page-wise extraction dominates the cost.  The vmm's
@@ -10,14 +10,18 @@
 // page indices map straight back to byte offsets of the cached owned
 // image, which is patched in place and re-parsed instead of re-extracted.
 //
-// Implementation-wise this is a custom front half over the shared
-// CheckPipeline: Acquire/Parse run through the pipeline's stages (the only
-// Searcher/Parser owners), with the watch deciding whether the Acquire
-// stage's extraction — full, partial, or none — is needed; Compare/Vote
-// reuse the pipeline stages behind a persistent canonical-RVA pool (a
-// changed copy re-normalizes once via CanonicalPool::update instead of
-// re-comparing against every peer) with a generation-keyed pair cache
-// under it for the ineligible fallback.
+// The scanner is only a front half: it decides per VM whether the cached
+// copy can be served, partially refreshed or must be re-extracted, and
+// keeps a persistent canonical-RVA pool (a changed copy re-normalizes once
+// via CanonicalPool::update).  Everything behind that — quarantine, the
+// pair loop, the exact fallback, the vote — is pool_scan's own back half,
+// CheckPipeline::cross_check.  Acquisition runs through the pipeline's
+// Acquire stage under the RetryPolicy, so a faulting guest is quarantined
+// with FaultRecords and an unparseable copy is a MODULE_UNPARSEABLE
+// finding, exactly as in a fresh scan.  A refresh marks the cached copy
+// unservable before it changes anything, so an attempt that fails midway
+// — with a returned fault or a thrown one — makes the retry or the next
+// tick re-extract, never serve a half-patched or half-copied image.
 //
 // Correctness invariant (tested): the incremental scanner's verdicts are
 // identical to a fresh ModChecker scan in every state, because any write
@@ -48,8 +52,6 @@ struct IncrementalStats {
   std::uint64_t partial_refreshes = 0;
   /// Pages re-read across all partial refreshes.
   std::uint64_t frames_reread = 0;
-  std::uint64_t comparisons_computed = 0;
-  std::uint64_t comparisons_reused = 0;
 };
 
 class IncrementalScanner {
@@ -72,13 +74,16 @@ class IncrementalScanner {
 
  private:
   struct CacheEntry {
-    bool found = false;
+    /// What cross_check sees of this VM.  found, parse_failed, parsed and
+    /// generation (bumped on every re-extraction or refresh, never reset)
+    /// persist with the cache; times, faults, attempts and unavailable
+    /// describe the current fetch only.
+    Extraction ex;
     std::uint32_t base = 0;
     /// Backing frames in VA-page order: frames[i] backs page i of the
     /// image, so a dirty index maps directly to a byte offset.
     std::vector<std::uint32_t> frames;
     vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
-    std::uint64_t generation = 0;  // bumped on every (re-)extraction/refresh
     /// Domain write generation observed at the start of the fetch that
     /// produced this entry.  If the domain's generation still matches, NO
     /// guest memory changed at all — the loader list, the module, anything
@@ -91,16 +96,6 @@ class IncrementalScanner {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> last_changed_rvas;
     /// Owned extraction the partial-refresh path patches in place.
     ModuleImage image;
-    ParsedModule parsed;
-  };
-
-  /// A pairwise verdict stays valid while both sides' extractions do —
-  /// the O(n^2) comparison cost of a pool scan then collapses to the
-  /// pairs touching re-extracted modules.
-  struct PairCacheEntry {
-    std::uint64_t generation_a = 0;
-    std::uint64_t generation_b = 0;
-    bool all_match = false;
   };
 
   /// Persistent canonical-RVA state for one module name (fast path only).
@@ -116,23 +111,6 @@ class IncrementalScanner {
     std::map<vmm::DomainId, std::uint64_t> generations;
   };
 
-  /// Extracts (or reuses / partially refreshes) one VM's copy via the
-  /// pipeline's Acquire/Parse stages; charges simulated time to `times`.
-  CacheEntry& fetch(vmm::DomainId vm, const std::string& module_name,
-                    ComponentTimes& times);
-
-  /// Full extraction into `entry` (registers a fresh watch first, so a
-  /// write racing the copy is caught by the next scan).
-  void extract_full(AcquireStage::Session& session,
-                    const std::string& module_name, const ModuleInfo& info,
-                    CacheEntry& entry);
-
-  /// Re-reads the pages in `dirty_pages` into the cached image.  Returns
-  /// false if a page's backing frame moved (the cached frame map is stale
-  /// — caller falls back to extract_full).
-  bool patch_dirty_pages(AcquireStage::Session& session, CacheEntry& entry,
-                         const std::vector<std::uint32_t>& dirty_pages);
-
   /// Brings the module's canonical pool up to date with the fetched
   /// entries (rebuild on reference change, update() per changed copy) and
   /// returns it; null when the fast path is disabled or nothing parsed.
@@ -140,6 +118,38 @@ class IncrementalScanner {
                                    const std::vector<vmm::DomainId>& pool,
                                    const std::vector<CacheEntry*>& entries,
                                    SimClock& clock);
+
+  /// Serves (or reuses / partially refreshes / re-extracts) one VM's copy
+  /// through the pipeline's Acquire/Parse stages.
+  CacheEntry& fetch(vmm::DomainId vm, const std::string& module_name);
+
+  /// What a successful refresh() found.
+  enum class Refresh { kNotLoaded, kClean, kChanged };
+
+  /// One acquire attempt against the cache: list walk, watch query, then
+  /// a partial refresh or full extraction as needed.  kChanged means the
+  /// cached image must be re-parsed.
+  Fallible<Refresh> refresh(AcquireStage::Session& session,
+                            const std::string& module_name,
+                            CacheEntry& entry);
+
+  /// Full extraction into `entry` (registers a fresh watch first, so a
+  /// write racing the copy is caught by the next scan): kChanged, or
+  /// kNotLoaded if the module vanished between the list walk and the copy.
+  Fallible<Refresh> extract_full(AcquireStage::Session& session,
+                                 const std::string& module_name,
+                                 const ModuleInfo& info, CacheEntry& entry);
+
+  /// Re-reads the pages in `dirty_pages` into the cached image.  Returns
+  /// false if a page's backing frame moved (the cached frame map is stale
+  /// — caller falls back to extract_full).
+  Fallible<bool> patch_dirty_pages(
+      AcquireStage::Session& session, CacheEntry& entry,
+      const std::vector<std::uint32_t>& dirty_pages);
+
+  /// Forgets the cached copy and its watch, keeping the generation
+  /// counting: the next fetch re-extracts under a new generation.
+  void drop(CacheEntry& entry);
 
   /// Stage context + pipeline: the scanner shares the session pool and
   /// parser/checker components with every other entry point.
@@ -151,9 +161,6 @@ class IncrementalScanner {
   telemetry::Counter frames_reread_;
   telemetry::Counter cache_reuses_;
   std::map<std::pair<vmm::DomainId, std::string>, CacheEntry> cache_;
-  std::map<std::tuple<std::string, vmm::DomainId, vmm::DomainId>,
-           PairCacheEntry>
-      pair_cache_;
   std::map<std::string, CanonState> canon_;
   IncrementalStats stats_;
 };

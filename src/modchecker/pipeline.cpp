@@ -16,16 +16,19 @@ namespace mc::core {
 
 namespace {
 
-/// Converts the exceptions one acquire attempt can legitimately raise into
-/// FaultRecords: GuestFaultError carries its record verbatim; a vanished
-/// domain (NotFoundError from attach) becomes kDomainGone; a hostile page
-/// table pointing outside guest RAM (MemoryError from the physical layer)
-/// becomes a read fault.  Anything else — InvalidArgument, plain VmiError —
-/// is API misuse and keeps unwinding.
-template <typename T, typename Fn>
-Fallible<T> run_acquire_attempt(vmm::DomainId vm, Fn&& attempt_fn) {
+/// Runs one acquire attempt on a fresh session and converts the exceptions
+/// it can legitimately raise into FaultRecords: GuestFaultError carries its
+/// record verbatim; a vanished domain (NotFoundError from attach) becomes
+/// kDomainGone; a hostile page table pointing outside guest RAM
+/// (MemoryError from the physical layer) becomes a read fault.  Anything
+/// else — InvalidArgument, plain VmiError — is API misuse and keeps
+/// unwinding.
+MaybeFault run_acquire_attempt(CheckContext& ctx, vmm::DomainId vm,
+                               SimClock& clock,
+                               const AcquireStage::Attempt& attempt) {
   try {
-    return attempt_fn();
+    AcquireStage::Session session(ctx, vm, clock);
+    return attempt(session);
   } catch (const GuestFaultError& e) {
     return e.record();
   } catch (const NotFoundError& e) {
@@ -43,39 +46,6 @@ Fallible<T> run_acquire_attempt(vmm::DomainId vm, Fn&& attempt_fn) {
     fault.detail = e.what();
     return fault;
   }
-}
-
-/// The Acquire retry loop: runs `attempt_fn` under `retry`, sleeping the
-/// deterministic backoff (unscaled — waiting, not CPU) between tries.
-/// Every fault is stamped with its attempt number and appended to
-/// `faults`; non-retryable codes give up immediately.  Disengaged return
-/// means the VM never answered.
-template <typename T, typename Fn>
-std::optional<T> acquire_with_retry(const RetryPolicy& retry,
-                                    vmm::DomainId vm, SimClock& clock,
-                                    std::vector<FaultRecord>& faults,
-                                    std::uint32_t& attempts, Fn&& attempt_fn) {
-  const std::uint32_t max_attempts =
-      retry.max_attempts > 0 ? retry.max_attempts : 1;
-  for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    attempts = attempt;
-    if (attempt > 1) {
-      clock.advance_raw(retry.delay_before(attempt));
-    }
-    Fallible<T> result = run_acquire_attempt<T>(vm, attempt_fn);
-    if (result.ok()) {
-      return std::move(result.value());
-    }
-    FaultRecord fault = std::move(result.fault());
-    fault.attempt = attempt;
-    fault.stage = CheckStage::kAcquire;
-    const bool transient = retryable_fault(fault.code);
-    faults.push_back(std::move(fault));
-    if (!transient) {
-      break;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -96,66 +66,61 @@ vmi::VmiSession& AcquireStage::Session::session() {
   return lease_ ? lease_->session() : *local_;
 }
 
-std::vector<ModuleInfo> AcquireStage::list_modules(Session& s) const {
-  return ModuleSearcher(s.session()).list_modules();
-}
-
-std::optional<ModuleInfo> AcquireStage::find_module(
-    Session& s, const std::string& module_name) const {
-  return ModuleSearcher(s.session()).find_module(module_name);
-}
-
-std::optional<ModuleImage> AcquireStage::extract_module(
-    Session& s, const std::string& module_name) const {
-  // Always an owned copy: the throwing wrapper serves consumers whose
-  // extraction outlives the scan (the incremental cache, forensics).
-  ctx_->pm.materializations.inc();
-  return ModuleSearcher(s.session()).extract_module(module_name);
-}
-
 Fallible<std::vector<ModuleInfo>> AcquireStage::try_list_modules(
     Session& s) const {
   return ModuleSearcher(s.session()).try_list_modules();
 }
 
-Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
+Fallible<std::optional<ModuleInfo>> AcquireStage::try_find_module(
     Session& s, const std::string& module_name) const {
-  if (ctx_->config.zero_copy_acquire) {
-    return ModuleSearcher(s.session())
-        .try_extract_module(module_name, ExtractMode::kView);
+  return ModuleSearcher(s.session()).try_find_module(module_name);
+}
+
+Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
+    Session& s, const std::string& module_name, ExtractMode mode) const {
+  if (mode == ExtractMode::kCopy) {
+    ctx_->pm.materializations.inc();
   }
-  ctx_->pm.materializations.inc();
-  return ModuleSearcher(s.session()).try_extract_module(module_name);
+  return ModuleSearcher(s.session()).try_extract_module(module_name, mode);
 }
 
-std::optional<std::optional<ModuleImage>> AcquireStage::extract_with_retry(
-    vmm::DomainId vm, const std::string& module_name, SimClock& clock,
-    std::vector<FaultRecord>& faults, std::uint32_t& attempts) const {
-  return acquire_with_retry<std::optional<ModuleImage>>(
-      ctx_->config.retry, vm, clock, faults, attempts,
-      [&]() -> Fallible<std::optional<ModuleImage>> {
-        Session session(*ctx_, vm, clock);
-        return try_extract_module(session, module_name);
-      });
-}
-
-std::optional<std::vector<ModuleInfo>> AcquireStage::list_with_retry(
-    vmm::DomainId vm, SimClock& clock, std::vector<FaultRecord>& faults,
-    std::uint32_t& attempts) const {
-  return acquire_with_retry<std::vector<ModuleInfo>>(
-      ctx_->config.retry, vm, clock, faults, attempts,
-      [&]() -> Fallible<std::vector<ModuleInfo>> {
-        Session session(*ctx_, vm, clock);
-        return try_list_modules(session);
-      });
+bool AcquireStage::with_retry(vmm::DomainId vm, SimClock& clock,
+                              std::vector<FaultRecord>& faults,
+                              std::uint32_t& attempts,
+                              const Attempt& attempt) const {
+  // Backoff is deterministic simulated time, unscaled: waiting, not CPU.
+  const RetryPolicy& retry = ctx_->config.retry;
+  const std::uint32_t max_attempts =
+      retry.max_attempts > 0 ? retry.max_attempts : 1;
+  for (std::uint32_t n = 1; n <= max_attempts; ++n) {
+    attempts = n;
+    if (n > 1) {
+      clock.advance_raw(retry.delay_before(n));
+    }
+    MaybeFault fault = run_acquire_attempt(*ctx_, vm, clock, attempt);
+    if (!fault) {
+      return true;
+    }
+    fault->attempt = n;
+    fault->stage = CheckStage::kAcquire;
+    const bool transient = retryable_fault(fault->code);
+    faults.push_back(std::move(*fault));
+    if (!transient) {
+      break;
+    }
+  }
+  return false;
 }
 
 // ---- Parse -----------------------------------------------------------------
 
 void ParseStage::parse(const ModuleImage& image, Extraction& ex) const {
   // Host CPU work, contention-scaled (Dom0 shares the physical cores with
-  // the guests).
+  // the guests).  A cached extraction is re-parsed in place, so every
+  // outcome field is (re)set here.
   ex.found = true;
+  ex.parse_failed = false;
+  ex.parse_error.clear();
   SimClock parser_clock;
   parser_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
   try {
@@ -165,13 +130,9 @@ void ParseStage::parse(const ModuleImage& image, Extraction& ex) const {
     // breaks the walk): not a crash, a *finding*.
     ex.parse_failed = true;
     ex.parse_error = e.what();
+    ex.parsed = ParsedModule{};
   }
   ex.times.parser = parser_clock.now();
-}
-
-ParsedModule ParseStage::parse_strict(const ModuleImage& image,
-                                      SimClock& clock) const {
-  return ctx_->parser.parse(image, clock);
 }
 
 // ---- Normalize -------------------------------------------------------------
@@ -224,11 +185,9 @@ void VoteStage::finalize(std::vector<PoolVmVerdict>& verdicts) const {
 
 // ---- Drivers ---------------------------------------------------------------
 
-Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
-                                            const std::string& module_name) {
-  Extraction ex;
-  const std::uint64_t pid = ctx_->config.trace_pid;
-
+bool CheckPipeline::acquire_vm(vmm::DomainId vm,
+                               const std::string& module_name, Extraction& ex,
+                               const AcquireStage::Attempt& attempt) {
   // Module-Searcher: all guest-memory access happens here.  With session
   // reuse the per-domain session (and its V2P cache) survives across
   // calls; otherwise attach fresh, as the paper's prototype does.  A guest
@@ -237,11 +196,12 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   // exception.  On a fault-free run attempt 1 succeeds and the charges are
   // bit-identical to the pre-fault-domain pipeline.
   SimClock searcher_clock;
-  telemetry::SpanScope acquire_span = telemetry::span(
-      ctx_->tracer, "acquire", "pipeline", pid, vm, &searcher_clock);
+  telemetry::SpanScope acquire_span =
+      telemetry::span(ctx_->tracer, "acquire", "pipeline",
+                      ctx_->config.trace_pid, vm, &searcher_clock);
   acquire_span.arg("module", module_name);
-  std::optional<std::optional<ModuleImage>> image = acquire_.extract_with_retry(
-      vm, module_name, searcher_clock, ex.faults, ex.attempts);
+  const bool answered = acquire_.with_retry(vm, searcher_clock, ex.faults,
+                                            ex.attempts, attempt);
   ex.times.searcher = searcher_clock.now();
 
   ctx_->pm.acquire_attempts.inc(ex.attempts);
@@ -256,22 +216,21 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   if (!ex.faults.empty()) {
     acquire_span.arg("faults", std::uint64_t{ex.faults.size()});
   }
-
-  if (!image) {
+  if (!answered) {
     ex.unavailable = true;  // never answered; found stays false
     ctx_->pm.quarantines.inc();
     acquire_span.arg("quarantined", std::uint64_t{1});
-    return ex;
   }
-  acquire_span.end();
-  if (!*image) {
-    return ex;  // answered: module not loaded here
-  }
+  return answered;
+}
+
+void CheckPipeline::parse_vm(vmm::DomainId vm, const std::string& module_name,
+                             const ModuleImage& image, Extraction& ex) {
   {
-    telemetry::SpanScope parse_span =
-        telemetry::span(ctx_->tracer, "parse", "pipeline", pid, vm);
+    telemetry::SpanScope parse_span = telemetry::span(
+        ctx_->tracer, "parse", "pipeline", ctx_->config.trace_pid, vm);
     parse_span.arg("module", module_name);
-    parse_.parse(**image, ex);
+    parse_.parse(image, ex);
     parse_span.arg("sim_ns", ex.times.parser);
     if (ex.parse_failed) {
       parse_span.arg("parse_failed", std::uint64_t{1});
@@ -281,7 +240,26 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   if (ex.parse_failed) {
     ctx_->pm.parse_failures.inc();
   }
-  return ex;
+}
+
+Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
+                                            const std::string& module_name) {
+  Extraction ex;
+  std::optional<ModuleImage> image;
+  const bool answered = acquire_vm(
+      vm, module_name, ex, [&](AcquireStage::Session& session) -> MaybeFault {
+        Fallible<std::optional<ModuleImage>> extracted =
+            acquire_.try_extract_module(session, module_name);
+        if (!extracted.ok()) {
+          return std::move(extracted.fault());
+        }
+        image = std::move(extracted.value());
+        return std::nullopt;
+      });
+  if (answered && image) {
+    parse_vm(vm, module_name, *image, ex);
+  }
+  return ex;  // answered without an image: module not loaded here
 }
 
 CheckReport CheckPipeline::check(vmm::DomainId subject,
@@ -478,7 +456,6 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
 PoolScanReport CheckPipeline::pool_scan(
     const std::string& module_name, const std::vector<vmm::DomainId>& pool) {
   const ModCheckerConfig& config = ctx_->config;
-  ctx_->pm.pool_scans.inc();
   telemetry::SpanScope scan_span = telemetry::span(
       ctx_->tracer, "pool_scan", "pipeline", config.trace_pid, 0);
   scan_span.arg("module", module_name);
@@ -513,9 +490,35 @@ PoolScanReport CheckPipeline::pool_scan(
       report.wall_time += extractions.back().times.total();
     }
   }
+  std::vector<const Extraction*> copies;
+  copies.reserve(extractions.size());
   for (const auto& ex : extractions) {
     report.cpu_times += ex.times;
+    copies.push_back(&ex);
   }
+
+  std::optional<CanonicalPool> canon;
+  report = cross_check(
+      pool, copies,
+      [&](SimClock& clock) {
+        canon = normalize_.canonicalize(extractions, clock);
+        return canon ? &*canon : nullptr;
+      },
+      std::move(report));
+  if (!report.quarantined.empty()) {
+    scan_span.arg("quarantined", std::uint64_t{report.quarantined.size()});
+  }
+  scan_span.arg("sim_wall_ns", report.wall_time);
+  return report;
+}
+
+PoolScanReport CheckPipeline::cross_check(
+    const std::vector<vmm::DomainId>& pool,
+    const std::vector<const Extraction*>& copies,
+    const std::function<CanonicalPool*(SimClock&)>& canonicalize,
+    PoolScanReport report) {
+  const ModCheckerConfig& config = ctx_->config;
+  ctx_->pm.pool_scans.inc();
 
   // Pairwise comparisons; each unordered pair evaluated once and credited
   // to both VMs' vote tallies.  A quarantined VM (acquire retries
@@ -525,11 +528,10 @@ PoolScanReport CheckPipeline::pool_scan(
   std::size_t answered = 0;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     verdicts[i].vm = pool[i];
-    verdicts[i].peers_total = pool.empty() ? 0 : pool.size() - 1;
-    Extraction& ex = extractions[i];
-    for (FaultRecord& fault : ex.faults) {
-      report.faults.push_back(std::move(fault));
-    }
+    verdicts[i].peers_total = pool.size() - 1;
+    const Extraction& ex = *copies[i];
+    report.faults.insert(report.faults.end(), ex.faults.begin(),
+                         ex.faults.end());
     if (ex.unavailable) {
       verdicts[i].quarantined = true;
       report.quarantined.push_back(pool[i]);
@@ -538,8 +540,7 @@ PoolScanReport CheckPipeline::pool_scan(
     }
   }
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    verdicts[i].peers_answered =
-        answered - (extractions[i].unavailable ? 0 : 1);
+    verdicts[i].peers_answered = answered - (copies[i]->unavailable ? 0 : 1);
   }
 
   // Normalize: canonical-RVA reduction against the first copy (O(t) image
@@ -551,11 +552,10 @@ PoolScanReport CheckPipeline::pool_scan(
   telemetry::SpanScope normalize_span = telemetry::span(
       ctx_->tracer, "normalize", "pipeline", config.trace_pid, 0,
       &canon_clock);
-  std::optional<CanonicalPool> canon =
-      normalize_.canonicalize(extractions, canon_clock);
+  CanonicalPool* canon = canonicalize(canon_clock);
   const SimNanos normalize_ns = canon_clock.now();
   normalize_span.arg("fastpath_enabled",
-                     std::uint64_t{canon.has_value() ? 1u : 0u});
+                     std::uint64_t{canon != nullptr ? 1u : 0u});
   normalize_span.end();
   ctx_->pm.normalize_ns.observe(normalize_ns);
 
@@ -564,37 +564,57 @@ PoolScanReport CheckPipeline::pool_scan(
   telemetry::SpanScope compare_span = telemetry::span(
       ctx_->tracer, "compare", "pipeline", config.trace_pid, 0, &canon_clock);
 
+  // A fallback pair between two copies that outlive the scan (generation
+  // != 0) reuses its last exact verdict while neither copy changed.
   struct PairRef {
     std::size_t i;
     std::size_t j;
+    CheckContext::PairMemoEntry* memo;
+  };
+  const auto settle = [&](const PairRef& p, bool all_match) {
+    if (all_match) {
+      ++verdicts[p.i].successes;
+      ++verdicts[p.j].successes;
+    }
+    if (p.memo != nullptr) {
+      *p.memo = {copies[p.i]->generation, copies[p.j]->generation, all_match};
+    }
   };
   std::vector<PairRef> fallback;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (!extractions[i].found) {
+    if (!copies[i]->found) {
       continue;
     }
     for (std::size_t j = i + 1; j < pool.size(); ++j) {
-      if (!extractions[j].found) {
+      if (!copies[j]->found) {
         continue;
       }
       ++verdicts[i].total;
       ++verdicts[j].total;
-      if (extractions[i].parse_failed || extractions[j].parse_failed) {
+      if (copies[i]->parse_failed || copies[j]->parse_failed) {
         continue;  // an unparseable copy never matches anything
       }
-      if (canon && canon->eligible(pool[i]) && canon->eligible(pool[j])) {
+      PairRef pair{i, j, nullptr};
+      if (canon != nullptr && canon->eligible(pool[i]) &&
+          canon->eligible(pool[j])) {
         ++report.fastpath_pairs;
         canon_clock.charge(config.host_costs.digest_pair_fixed);
-        if (canon->digests(pool[i]) == canon->digests(pool[j])) {
-          ++verdicts[i].successes;
-          ++verdicts[j].successes;
-        }
-      } else {
-        fallback.push_back({i, j});
+        settle(pair, canon->digests(pool[i]) == canon->digests(pool[j]));
+        continue;
       }
+      if (copies[i]->generation != 0 && copies[j]->generation != 0) {
+        pair.memo = &ctx_->pair_memo[{report.module_name, pool[i], pool[j]}];
+        if (pair.memo->generation_a == copies[i]->generation &&
+            pair.memo->generation_b == copies[j]->generation) {
+          ++report.fallback_pairs;
+          settle(pair, pair.memo->all_match);
+          continue;
+        }
+      }
+      fallback.push_back(pair);
     }
   }
-  report.fallback_pairs = fallback.size();
+  report.fallback_pairs += fallback.size();
   report.cpu_times.checker += canon_clock.now();
   report.wall_time += canon_clock.now();
 
@@ -605,7 +625,7 @@ PoolScanReport CheckPipeline::pool_scan(
     SimClock pair_clock;
     pair_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
     const PairComparison cmp = compare_.compare(
-        extractions[p.i].parsed, extractions[p.j].parsed, pair_clock);
+        copies[p.i]->parsed, copies[p.j]->parsed, pair_clock);
     return std::pair<bool, SimNanos>(cmp.all_match, pair_clock.now());
   };
 
@@ -620,10 +640,7 @@ PoolScanReport CheckPipeline::pool_scan(
     SimNanos total_work = 0;
     for (std::size_t k = 0; k < fallback.size(); ++k) {
       const auto [all_match, task_time] = futures[k].get();
-      if (all_match) {
-        ++verdicts[fallback[k].i].successes;
-        ++verdicts[fallback[k].j].successes;
-      }
+      settle(fallback[k], all_match);
       longest = std::max(longest, task_time);
       total_work += task_time;
     }
@@ -634,10 +651,7 @@ PoolScanReport CheckPipeline::pool_scan(
   } else {
     for (const PairRef& p : fallback) {
       const auto [all_match, task_time] = run_fallback_pair(p);
-      if (all_match) {
-        ++verdicts[p.i].successes;
-        ++verdicts[p.j].successes;
-      }
+      settle(p, all_match);
       report.cpu_times.checker += task_time;
       report.wall_time += task_time;
     }
@@ -657,10 +671,6 @@ PoolScanReport CheckPipeline::pool_scan(
     vote_span.arg("verdicts", std::uint64_t{verdicts.size()});
   }
   report.verdicts = std::move(verdicts);
-  if (!report.quarantined.empty()) {
-    scan_span.arg("quarantined", std::uint64_t{report.quarantined.size()});
-  }
-  scan_span.arg("sim_wall_ns", report.wall_time);
   if (config.emit_telemetry) {
     report.telemetry_json = telemetry::to_json(ctx_->metrics->snapshot());
   }
@@ -686,17 +696,27 @@ ListComparisonReport CheckPipeline::compare_lists(
     telemetry::SpanScope list_span =
         telemetry::span(ctx_->tracer, "acquire_list", "pipeline",
                         ctx_->config.trace_pid, vm, &clock);
-    std::optional<std::vector<ModuleInfo>> modules =
-        acquire_.list_with_retry(vm, clock, report.faults, attempts);
+    std::vector<ModuleInfo> modules;
+    const bool answered = acquire_.with_retry(
+        vm, clock, report.faults, attempts,
+        [&](AcquireStage::Session& session) -> MaybeFault {
+          Fallible<std::vector<ModuleInfo>> listed =
+              acquire_.try_list_modules(session);
+          if (!listed.ok()) {
+            return std::move(listed.fault());
+          }
+          modules = std::move(listed.value());
+          return std::nullopt;
+        });
     list_span.arg("attempts", std::uint64_t{attempts});
     list_span.end();
     wall += clock.now();
-    if (!modules) {
+    if (!answered) {
       report.unavailable.push_back(vm);
       continue;
     }
     responders.push_back(vm);
-    for (const auto& info : *modules) {
+    for (const auto& info : modules) {
       presence[info.name].push_back(vm);
     }
   }

@@ -11,9 +11,9 @@
 // composes the stages.
 //
 //   Acquire    guest-memory access: sessions (pooled or fresh), loader-list
-//              walks, whole-image extraction.  The ONLY place that may
-//              construct a ModuleSearcher (enforced by mc_lint's
-//              pipeline-bypass rule).
+//              walks, whole-image extraction, all under the RetryPolicy.
+//              The ONLY place that may construct a ModuleSearcher
+//              (enforced by mc_lint's pipeline-bypass rule).
 //   Parse      format-plugin decomposition (PE32 or ELF64, resolved per
 //              module through the FormatRegistry) into integrity items; a
 //              FormatError is a finding, not a crash.  The only
@@ -25,6 +25,11 @@
 //   Vote       the paper's majority rule  n > (t-1)/2.
 //   Report     aggregation into CheckReport / PoolScanReport.
 //
+// Pool scans have one back half, CheckPipeline::cross_check: quarantine
+// set-up, pair loop, exact fallback, vote and counters exist once, behind
+// either a fresh acquire + parse of every VM (pool_scan) or the
+// IncrementalScanner's WriteWatch cache.
+//
 // Ownership rules (see DESIGN.md §7): the CheckContext owns the config,
 // the parser/checker components and the persistent VmiSessionPool — the
 // pool is a first-class mutable member here, not a `mutable` wart on a
@@ -33,13 +38,17 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "modchecker/canonical.hpp"
 #include "modchecker/checker.hpp"
 #include "modchecker/parser.hpp"
+#include "modchecker/searcher.hpp"
 #include "modchecker/types.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
@@ -130,14 +139,6 @@ struct ModCheckerConfig {
   /// Memoize per-item digests within one check so the subject's items are
   /// hashed once instead of once per peer.
   bool digest_memo = true;
-  /// Acquire whole-image extractions as borrowed GuestViews over the
-  /// guest's frames instead of copying SizeOfImage bytes into an owned
-  /// buffer.  Simulated charges are identical (the per-byte access cost is
-  /// the introspection, not the host memcpy); the saving is host time and
-  /// allocations.  Views live for one scan, so consumers that outlive it
-  /// (the incremental cache, forensic dumps) always take the copy path
-  /// regardless of this flag.
-  bool zero_copy_acquire = true;
   /// Pin every diff/compare kernel to the scalar implementation (same
   /// effect as the MC_FORCE_SCALAR environment variable, scoped to this
   /// pipeline).  Verdicts are bit-identical at every dispatch level; this
@@ -291,8 +292,8 @@ struct CheckContext {
     telemetry::Counter acquire_attempts;
     telemetry::Counter acquire_retries;
     /// Whole-image extractions that produced an owned copy instead of a
-    /// borrowed view (kCopy mode or zero_copy_acquire off).  Zero across a
-    /// clean zero-copy scan — the bench gate asserts exactly that.
+    /// borrowed view (ExtractMode::kCopy).  Zero across a clean fresh scan
+    /// — the bench gate asserts exactly that.
     telemetry::Counter materializations;
     telemetry::Counter quarantines;
     telemetry::Counter faults;
@@ -335,6 +336,18 @@ struct CheckContext {
   /// Per-domain persistent sessions (used when config.reuse_sessions).
   vmi::VmiSessionPool session_pool;
   PipelineMetrics pm;
+
+  /// Exact-fallback verdict of the pair (module, vm, peer vm), valid while
+  /// both copies keep the generations it was computed at.  Only copies
+  /// with a nonzero Extraction::generation are memoized.
+  struct PairMemoEntry {
+    std::uint64_t generation_a = 0;
+    std::uint64_t generation_b = 0;
+    bool all_match = false;
+  };
+  std::map<std::tuple<std::string, vmm::DomainId, vmm::DomainId>,
+           PairMemoEntry>
+      pair_memo;
 };
 
 /// Output of the Acquire+Parse front half for one VM.
@@ -352,6 +365,10 @@ struct Extraction {
   bool unavailable = false;
   /// Acquire attempts consumed (1 on the clean path).
   std::uint32_t attempts = 1;
+  /// Identity of the parsed copy for the fallback pair memo: 0 for a fresh
+  /// extraction (never memoized); a cache that keeps the copy across scans
+  /// gives every (re-)extraction or refresh a new nonzero value.
+  std::uint64_t generation = 0;
 };
 
 /// Stage 1 — Acquire: all guest-memory access.  Hands out RAII session
@@ -378,37 +395,36 @@ class AcquireStage {
     return Session(*ctx_, vm, clock);
   }
 
-  /// Loader-list walk: every module's basic facts.
-  std::vector<ModuleInfo> list_modules(Session& s) const;
-
-  /// Loader-list lookup of one module; nullopt if not loaded.
-  std::optional<ModuleInfo> find_module(Session& s,
-                                        const std::string& module_name) const;
-
-  /// Whole-image copy out of guest memory; nullopt if not loaded.
-  std::optional<ModuleImage> extract_module(
-      Session& s, const std::string& module_name) const;
-
-  /// Fault-returning variants: a guest fault (injected or real) comes back
-  /// as a FaultRecord instead of unwinding the scan.
+  /// Loader-list walk: every module's basic facts.  A guest fault
+  /// (injected or real) comes back as a FaultRecord instead of unwinding
+  /// the scan.
   Fallible<std::vector<ModuleInfo>> try_list_modules(Session& s) const;
-  Fallible<std::optional<ModuleImage>> try_extract_module(
+
+  /// Loader-list lookup of one module; disengaged if not loaded.
+  Fallible<std::optional<ModuleInfo>> try_find_module(
       Session& s, const std::string& module_name) const;
 
-  /// One retried acquire under the config's RetryPolicy: runs `attempt`
-  /// (session open + searcher work on `clock`) up to max_attempts times,
-  /// sleeping the deterministic backoff between tries.  Faults (including
-  /// a NotFoundError from opening a vanished domain, surfaced as
-  /// kDomainGone) are appended to `faults` with their attempt number;
-  /// non-retryable codes stop early.  Returns the first successful result,
-  /// or disengaged when every attempt faulted.
-  std::optional<std::optional<ModuleImage>> extract_with_retry(
-      vmm::DomainId vm, const std::string& module_name, SimClock& clock,
-      std::vector<FaultRecord>& faults, std::uint32_t& attempts) const;
+  /// Whole-image extraction; disengaged if not loaded.  kView borrows the
+  /// guest's frames for the current scan; kCopy is an owned buffer for
+  /// consumers that outlive it (the incremental cache) and counts one
+  /// pipeline.acquire.materializations.  Simulated charges are identical.
+  Fallible<std::optional<ModuleImage>> try_extract_module(
+      Session& s, const std::string& module_name,
+      ExtractMode mode = ExtractMode::kView) const;
 
-  std::optional<std::vector<ModuleInfo>> list_with_retry(
-      vmm::DomainId vm, SimClock& clock, std::vector<FaultRecord>& faults,
-      std::uint32_t& attempts) const;
+  /// One attempt of a retried acquire: guest work on an open session.
+  /// Returns the fault that stopped it, or nothing on success.
+  using Attempt = std::function<MaybeFault(Session&)>;
+
+  /// Runs `attempt` on a fresh session (opened on `clock`) up to the
+  /// RetryPolicy's max_attempts times, sleeping the deterministic backoff
+  /// between tries.  Faults (including a NotFoundError from opening a
+  /// vanished domain, surfaced as kDomainGone) are appended to `faults`
+  /// with their attempt number; non-retryable codes stop early.  Returns
+  /// false when every attempt faulted: the VM never answered.
+  bool with_retry(vmm::DomainId vm, SimClock& clock,
+                  std::vector<FaultRecord>& faults, std::uint32_t& attempts,
+                  const Attempt& attempt) const;
 
  private:
   CheckContext* ctx_;
@@ -424,10 +440,6 @@ class ParseStage {
   /// finding the Vote stage turns into a definite mismatch).  Charges to
   /// ex.times.parser on a fresh dom0-slowdown clock.
   void parse(const ModuleImage& image, Extraction& ex) const;
-
-  /// Strict parse for callers that manage their own failure handling
-  /// (e.g. the incremental cache).  Throws FormatError.
-  ParsedModule parse_strict(const ModuleImage& image, SimClock& clock) const;
 
  private:
   CheckContext* ctx_;
@@ -488,9 +500,7 @@ class VoteStage {
 };
 
 /// The staged pipeline.  Drivers (`check`, `pool_scan`, `compare_lists`)
-/// compose the stages end to end; callers with bespoke front halves (the
-/// IncrementalScanner's dirty-frame cache, the FleetService) use the stage
-/// accessors directly.
+/// compose the stages end to end.
 class CheckPipeline {
  public:
   explicit CheckPipeline(CheckContext& ctx)
@@ -509,9 +519,21 @@ class CheckPipeline {
   const CompareStage& compare() const { return compare_; }
   const VoteStage& vote() const { return vote_; }
 
-  /// Acquire + Parse for one VM: the shared front half of every check.
+  /// Acquire + Parse for one VM: the fresh front half of every check.
   Extraction acquire_and_parse(vmm::DomainId vm,
                                const std::string& module_name);
+
+  /// The Acquire stage for one VM with its span and counters: runs
+  /// `attempt` under the RetryPolicy and fills ex.times.searcher,
+  /// ex.faults, ex.attempts and — when every attempt faulted —
+  /// ex.unavailable.  Returns true when the VM answered.
+  bool acquire_vm(vmm::DomainId vm, const std::string& module_name,
+                  Extraction& ex, const AcquireStage::Attempt& attempt);
+
+  /// The Parse stage for one VM with its span and counters (tolerant: see
+  /// ParseStage::parse).
+  void parse_vm(vmm::DomainId vm, const std::string& module_name,
+                const ModuleImage& image, Extraction& ex);
 
   /// Subject-vs-peers driver (ModChecker::check_module).  `raw_others` is
   /// sanitized against self-comparison and duplicates.  Throws
@@ -523,6 +545,18 @@ class CheckPipeline {
   /// the subject role; canonical fast path + exact fallback.
   PoolScanReport pool_scan(const std::string& module_name,
                            const std::vector<vmm::DomainId>& pool);
+
+  /// The back half of every pool scan (pool_scan and IncrementalScanner):
+  /// quarantine set-up, the fast-path pair loop, the exact fallback, the
+  /// vote, spans and counters.  `copies` are borrowed per-VM results in
+  /// pool order; `canonicalize` builds or refreshes the canonical pool
+  /// over them on the given clock (null: fast path off).  `report` comes
+  /// in carrying the acquisition's cost.
+  PoolScanReport cross_check(
+      const std::vector<vmm::DomainId>& pool,
+      const std::vector<const Extraction*>& copies,
+      const std::function<CanonicalPool*(SimClock&)>& canonicalize,
+      PoolScanReport report);
 
   /// Loader-list presence comparison driver
   /// (ModChecker::compare_module_lists).

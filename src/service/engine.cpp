@@ -12,7 +12,7 @@ namespace mc::service {
 
 // The fleet's ear on the WriteWatch notification surface.  The skip
 // decision itself rests on per-domain write generations (see
-// run_event_locked) — the tracker is the observability half: it counts
+// run_locked) — the tracker is the observability half: it counts
 // distinct domains written and clean->dirty watch edges while the service
 // runs, so an operator can see write pressure without any sweep running.
 // Callbacks arrive under the WriteWatch lock (possibly from guest-writer
@@ -145,7 +145,7 @@ std::uint64_t SweepEngine::dirty_score(const QueuedSweep& run) const {
   std::uint64_t score = 0;
   for (const vmm::DomainId vm : pool.vms) {
     const std::uint64_t gen = watch.domain_write_generation(vm);
-    if (state_it != event_states_.end() && state_it->second.has_report) {
+    if (state_it != event_states_.end()) {
       const auto g = state_it->second.generations.find(vm);
       if (g != state_it->second.generations.end()) {
         score += gen - std::min(gen, g->second);
@@ -183,13 +183,8 @@ SweepEngine::ExecuteResult SweepEngine::execute(
     // audit: holding pool.mutex across the scan body IS the serialization
     // contract — per-pool scans must not interleave; other pools use other
     // mutexes and proceed in parallel.
-    if (run.spec.event_driven) {
-      // mc-lint: allow(lock-order)
-      run_event_locked(pool, run, is_cancelled, report, sweep_span);
-    } else {
-      // mc-lint: allow(lock-order)
-      run_full_locked(pool, run, is_cancelled, report);
-    }
+    // mc-lint: allow(lock-order)
+    run_locked(pool, run, is_cancelled, report, sweep_span);
   }
   if (report.cancelled) {
     cancelled_runs_.inc();
@@ -229,9 +224,48 @@ SweepEngine::ExecuteResult SweepEngine::execute(
   return result;
 }
 
-void SweepEngine::run_full_locked(Pool& pool, const QueuedSweep& run,
-                                  const CancelProbe& is_cancelled,
-                                  SweepReport& report) {
+void SweepEngine::run_locked(Pool& pool, const QueuedSweep& run,
+                             const CancelProbe& is_cancelled,
+                             SweepReport& report,
+                             telemetry::SpanScope& span) {
+  const bool event_driven = run.spec.event_driven;
+  // Per-domain write generations, snapshotted BEFORE scanning: a write
+  // racing the scan makes the next tick's snapshot differ and forces a
+  // re-scan — the race is conservatively safe, never a missed change.
+  std::map<vmm::DomainId, std::uint64_t> generations;
+  if (event_driven) {
+    vmm::WriteWatch& watch = pool.hypervisor->write_watch();
+    for (const vmm::DomainId vm : pool.vms) {
+      generations.emplace(vm, watch.domain_write_generation(vm));
+    }
+    std::size_t dirty_domains = 0;
+    {
+      // audit: event_mutex_ nests strictly inside pool.mutex (both sites
+      // in this function), and nothing blocks under it.
+      // mc-lint: allow(lock-order)
+      std::lock_guard<std::mutex> ev_lock(event_mutex_);
+      EventState& state = event_states_[run.id];
+      if (state.reusable && generations == state.generations) {
+        // No write — watched or not — landed on any pool domain since the
+        // last completed run, so every extraction, comparison and vote is
+        // provably byte-identical: re-emit the previous results unscanned.
+        report.scans = state.scans;
+        report.findings = state.findings;
+        report.skipped_clean = true;
+        sweeps_skipped_clean_.inc();
+        return;
+      }
+      for (const auto& [vm, gen] : generations) {
+        const auto it = state.generations.find(vm);
+        if (it == state.generations.end() || it->second != gen) {
+          ++dirty_domains;
+        }
+      }
+    }
+    span.arg("dirty_domains", static_cast<std::uint64_t>(dirty_domains));
+    event_runs_.inc();
+  }
+
   // VMs quarantined by one module scan sit out the rest of *this run*
   // (re-polling a dead guest per module would just burn retries); the
   // recurrence in execute restarts from the full pool, so a guest that
@@ -250,12 +284,17 @@ void SweepEngine::run_full_locked(Pool& pool, const QueuedSweep& run,
     if (module_hook_) {
       module_hook_(run.id, run.run_index, module);
     }
+    // Event-driven sweeps scan through the incremental scanner (clean
+    // domains cost an O(1) watch query, dirty modules re-read only their
+    // dirty pages); both scanners share pool_scan's fault model.
     // audit: holding pool.mutex across the scan IS the serialization
     // contract documented in execute — per-pool scans must not
-    // interleave (shared warm sessions); other pools use other mutexes
-    // and proceed in parallel.
+    // interleave (shared warm sessions and caches); other pools use other
+    // mutexes and proceed in parallel.
     // mc-lint: allow(lock-order)
-    core::PoolScanReport scan = pool.pipeline->pool_scan(module, active);
+    core::PoolScanReport scan = event_driven
+                                    ? pool.incremental->scan(module, active)
+                                    : pool.pipeline->pool_scan(module, active);
     report.wall_time += scan.wall_time;
     report.cpu_times += scan.cpu_times;
     for (const core::PoolVmVerdict& v : scan.verdicts) {
@@ -270,73 +309,7 @@ void SweepEngine::run_full_locked(Pool& pool, const QueuedSweep& run,
     }
     report.scans.push_back(std::move(scan));
   }
-}
-
-void SweepEngine::run_event_locked(Pool& pool, const QueuedSweep& run,
-                                   const CancelProbe& is_cancelled,
-                                   SweepReport& report,
-                                   telemetry::SpanScope& span) {
-  vmm::WriteWatch& watch = pool.hypervisor->write_watch();
-  // Per-domain write generations, snapshotted BEFORE scanning: a write
-  // racing the scan makes the next tick's snapshot differ and forces a
-  // re-scan — the race is conservatively safe, never a missed change.
-  std::map<vmm::DomainId, std::uint64_t> generations;
-  for (const vmm::DomainId vm : pool.vms) {
-    generations.emplace(vm, watch.domain_write_generation(vm));
-  }
-
-  std::size_t dirty_domains = 0;
-  {
-    // audit: event_mutex_ nests strictly inside pool.mutex (both call
-    // sites in this function), and nothing blocks under it.
-    // mc-lint: allow(lock-order)
-    std::lock_guard<std::mutex> ev_lock(event_mutex_);
-    EventState& state = event_states_[run.id];
-    if (state.has_report && generations == state.generations) {
-      // No write — watched or not — landed on any pool domain since the
-      // last completed run, so every extraction, comparison and vote is
-      // provably byte-identical: re-emit the previous results unscanned.
-      report.scans = state.scans;
-      report.findings = state.findings;
-      report.skipped_clean = true;
-      sweeps_skipped_clean_.inc();
-      return;
-    }
-    for (const auto& [vm, gen] : generations) {
-      const auto it = state.generations.find(vm);
-      if (!state.has_report || it == state.generations.end() ||
-          it->second != gen) {
-        ++dirty_domains;
-      }
-    }
-  }
-  span.arg("dirty_domains", static_cast<std::uint64_t>(dirty_domains));
-
-  for (const std::string& module : run.spec.modules) {
-    if (is_cancelled(run.id)) {
-      report.cancelled = true;
-      break;
-    }
-    if (module_hook_) {
-      module_hook_(run.id, run.run_index, module);
-    }
-    // The incremental scanner keeps the non-faulting throwing contract —
-    // no quarantine machinery (see SweepSpec::event_driven).  Clean
-    // domains cost an O(1) watch query; dirty modules re-read only their
-    // dirty pages.
-    // mc-lint: allow(lock-order)
-    core::PoolScanReport scan = pool.incremental->scan(module, pool.vms);
-    report.wall_time += scan.wall_time;
-    report.cpu_times += scan.cpu_times;
-    for (const core::PoolVmVerdict& v : scan.verdicts) {
-      if (!v.clean && v.total > 0) {
-        report.findings.push_back({module, v.vm, v.successes, v.total});
-      }
-    }
-    report.scans.push_back(std::move(scan));
-  }
-  event_runs_.inc();
-  if (!report.cancelled) {
+  if (event_driven && !report.cancelled) {
     // audit: same strict nesting as above.
     // mc-lint: allow(lock-order)
     std::lock_guard<std::mutex> ev_lock(event_mutex_);
@@ -344,7 +317,12 @@ void SweepEngine::run_event_locked(Pool& pool, const QueuedSweep& run,
     state.generations = std::move(generations);
     state.scans = report.scans;
     state.findings = report.findings;
-    state.has_report = true;
+    // Faults are not guest memory: an unchanged generation says nothing
+    // about whether a faulting guest recovered, so a degraded run (and so
+    // an exhausted one) is never re-emitted in place of a scan.
+    state.reusable = std::none_of(
+        report.scans.begin(), report.scans.end(),
+        [](const core::PoolScanReport& scan) { return scan.degraded(); });
   }
 }
 

@@ -146,9 +146,10 @@ class SweepEngine {
 
   /// What an event-driven sweep remembers between cadence ticks: the
   /// per-domain write generations observed before its last completed run
-  /// and that run's results (re-emitted verbatim on clean ticks).
+  /// and that run's results (re-emitted verbatim on clean ticks unless the
+  /// run was degraded by guest faults).
   struct EventState {
-    bool has_report = false;
+    bool reusable = false;  // a run completed and was not degraded
     std::map<vmm::DomainId, std::uint64_t> generations;
     std::vector<core::PoolScanReport> scans;
     std::vector<SweepFinding> findings;
@@ -159,14 +160,13 @@ class SweepEngine {
   /// distinct hypervisor, live between attach and detach.
   class DirtyTracker;
 
-  /// The classic full-scan body (caller holds pool.mutex).
-  void run_full_locked(Pool& pool, const QueuedSweep& run,
-                       const CancelProbe& is_cancelled, SweepReport& report);
-  /// The event-driven body: skip-if-clean via per-domain write
-  /// generations, else incremental scan (caller holds pool.mutex).
-  void run_event_locked(Pool& pool, const QueuedSweep& run,
-                        const CancelProbe& is_cancelled, SweepReport& report,
-                        telemetry::SpanScope& span);
+  /// The run body (caller holds pool.mutex): one module loop over the
+  /// active set with quarantine and pool_exhausted handling.  Event-driven
+  /// runs first try the skip-if-clean check via per-domain write
+  /// generations, then scan through the incremental scanner.
+  void run_locked(Pool& pool, const QueuedSweep& run,
+                  const CancelProbe& is_cancelled, SweepReport& report,
+                  telemetry::SpanScope& span);
   void emit(const SweepReport& report);
 
   EngineConfig config_;

@@ -22,18 +22,4 @@ CoordinatorConfig classic_topology(const FleetConfig& config) {
 FleetService::FleetService(FleetConfig config)
     : coordinator_(classic_topology(config)) {}
 
-FleetService::Stats FleetService::stats() const {
-  const ShardCoordinator::Stats all = coordinator_.stats();
-  Stats out;
-  out.submitted = all.submitted;
-  out.completed_runs = all.completed_runs;
-  out.cancelled_runs = all.cancelled_runs;
-  out.dropped_pending = all.dropped_pending;
-  out.quarantine_events = all.quarantine_events;
-  out.exhausted_runs = all.exhausted_runs;
-  out.sweeps_skipped_clean = all.sweeps_skipped_clean;
-  out.event_runs = all.event_runs;
-  return out;
-}
-
 }  // namespace mc::service

@@ -118,26 +118,9 @@ class FleetService {
   std::size_t pool_count() const { return coordinator_.pool_count(); }
   std::size_t pending_sweeps() const { return coordinator_.pending_sweeps(); }
 
-  /// Deprecated view over the registry aggregates "service.*".
-  // mc-lint: allow(adhoc-stats)
-  struct Stats {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed_runs = 0;   // runs that finished every module
-    std::uint64_t cancelled_runs = 0;   // runs stopped mid-sweep
-    std::uint64_t dropped_pending = 0;  // runs struck before starting
-    /// VM-quarantine observations across all runs (one per VM per run in
-    /// which it exhausted its acquire retries).
-    std::uint64_t quarantine_events = 0;
-    /// Runs cut short because quarantine left fewer than two answering
-    /// VMs.
-    std::uint64_t exhausted_runs = 0;
-    /// Event-driven runs that re-emitted the previous results because the
-    /// watch layer proved every pool domain unchanged.
-    std::uint64_t sweeps_skipped_clean = 0;
-    /// Event-driven runs that actually scanned (incrementally).
-    std::uint64_t event_runs = 0;
-  };
-  Stats stats() const;
+  /// The coordinator's counters (the fleet is its single-shard case).
+  using Stats = ShardCoordinator::Stats;
+  Stats stats() const { return coordinator_.stats(); }
 
  private:
   ShardCoordinator coordinator_;

@@ -67,9 +67,9 @@ struct SweepSpec {
   /// domain re-emits the previous run's (provably unchanged) verdicts
   /// without scanning (SweepReport::skipped_clean), and dirty ticks go
   /// through the pool's IncrementalScanner so clean domains cost an O(1)
-  /// watch query and dirty modules re-read only their dirty pages.
-  /// Event-driven sweeps assume the non-faulting path (no quarantine
-  /// machinery); pools with fault injection should use full sweeps.
+  /// watch query and dirty modules re-read only their dirty pages.  Guest
+  /// faults retry and quarantine exactly as in a full sweep, and a run
+  /// degraded by faults is never re-emitted: the next tick scans again.
   bool event_driven = false;
   /// Alerted sweeps (e.g. a watch-driven off-cadence scan of a pool that
   /// just took writes) are exempt from load shedding even when recurring —

@@ -2,6 +2,7 @@
 // digest value semantics.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "crypto/crc32.hpp"
@@ -26,6 +27,11 @@ struct Md5Vector {
   const char* input;
   const char* hex;
 };
+
+// Without this gtest prints the two pointers as raw bytes, and ctest names
+// each case after them; ASLR then gives the cases new names on every run.
+// The expected digest is unique per case and keeps the names short.
+void PrintTo(const Md5Vector& v, std::ostream* os) { *os << v.hex; }
 
 class Md5Rfc1321 : public ::testing::TestWithParam<Md5Vector> {};
 

@@ -7,12 +7,8 @@
 // attack between ticks un-skips exactly the dirty tick, and event/full
 // sweeps over the same pool stay report-identical.
 //
-// Timing fields (wall_ns / cpu_ns) and the fastpath pair counters are
-// zeroed before comparing JSON: the incremental scanner deliberately pays
-// a different simulated cost (that asymmetry is the whole point) and
-// comparisons of cached parses bypass the fastpath counters; everything
-// the operator alerts on — verdicts, quorum, module identity — must match
-// byte for byte.
+// Reports are compared as normalized JSON (sweep_identity.hpp): timing and
+// fastpath pair counters zeroed, everything else byte for byte.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -30,12 +26,14 @@
 #include "cloud/environment.hpp"
 #include "cloud/linux.hpp"
 #include "elf/parser.hpp"
+#include "guestos/module_loader.hpp"
 #include "guestos/kernel.hpp"
 #include "guestos/ko_loader.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report_json.hpp"
 #include "service/fleet.hpp"
+#include "sweep_identity.hpp"
 #include "util/bytes.hpp"
 
 namespace {
@@ -46,6 +44,7 @@ using mc::service::FleetService;
 using mc::service::RingSink;
 using mc::service::SweepReport;
 using mc::service::SweepSpec;
+using mc::testutil::normalized_json;
 
 std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
   cloud::CloudConfig cfg;
@@ -57,18 +56,6 @@ std::unique_ptr<cloud::LinuxEnvironment> make_linux_env(std::size_t guests) {
   cloud::LinuxCloudConfig cfg;
   cfg.guest_count = guests;
   return std::make_unique<cloud::LinuxEnvironment>(cfg);
-}
-
-/// Serializes a pool scan with the non-semantic fields zeroed: simulated
-/// timing differs by design (the incremental path is the cheaper one) and
-/// cached comparisons bypass the fastpath/fallback counters.  Everything
-/// else — verdicts, quorum, module — must be byte-identical.
-std::string normalized_json(PoolScanReport report) {
-  report.wall_time = 0;
-  report.cpu_times = ComponentTimes{};
-  report.fastpath_pairs = 0;
-  report.fallback_pairs = 0;
-  return to_json(report);
 }
 
 /// One differential tick: the event-driven scanner against a fresh full
@@ -103,6 +90,16 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, EventDrivenCleanPool,
 
 // ---- Differential gate: E1-E4 between ticks (PE) ------------------------------
 
+/// Zeroes the module's 2-byte DOS magic ("MZ") in guest memory: the copy
+/// no longer parses, which both scanners must report as a finding.
+void zero_dos_magic(cloud::CloudEnvironment& env, vmm::DomainId vm,
+                    const std::string& module) {
+  const guestos::LoadedModule* loaded = env.loader(vm).find(module);
+  ASSERT_NE(loaded, nullptr);
+  const Bytes zero = {0x00, 0x00};
+  env.kernel(vm).address_space().write_virtual(loaded->base, ByteView(zero));
+}
+
 TEST(EventDrivenDifferential, AttacksBetweenTicksPe) {
   auto env = make_env(6);
   IncrementalScanner incremental(env->hypervisor());
@@ -125,12 +122,17 @@ TEST(EventDrivenDifferential, AttacksBetweenTicksPe) {
     expect_tick_identical(incremental, fresh, module, env->guests(),
                           "after E" + std::to_string(i + 1));
   }
+  // A guest that zeroes its own module's DOS magic: the cached copy is
+  // re-read and fails to parse, an unparseable-copy finding on both sides.
+  zero_dos_magic(*env, env->guests()[5], module);
+  expect_tick_identical(incremental, fresh, module, env->guests(),
+                        "after DOS magic zeroed");
 
   // Final quiescent tick, served from the cache — which must not launder
-  // a stale clean verdict.  With four differently-infected guests out of
-  // six, every pairwise comparison except (0,5) disagrees, so even the two
-  // untouched guests fall below the cross-comparison quorum: all six are
-  // flagged, exactly as a fresh scanner concludes (checked above).
+  // a stale clean verdict.  With four differently-infected guests and one
+  // unparseable copy out of six, every pairwise comparison disagrees, so
+  // even the untouched guest falls below the cross-comparison quorum: all
+  // six are flagged, exactly as a fresh scanner concludes (checked above).
   const auto report = incremental.scan(module, env->guests());
   for (std::size_t i = 0; i < report.verdicts.size(); ++i) {
     EXPECT_FALSE(report.verdicts[i].clean) << "vm " << report.verdicts[i].vm;
@@ -363,25 +365,17 @@ TEST(FleetEventDriven, EventAndFullSweepsStayReportIdentical) {
   fleet.drain();
 
   const auto reports = ring->snapshot();
-  std::vector<const SweepReport*> event_runs(3), full_runs(3);
-  for (const auto& report : reports) {
-    if (report.id == event_id) {
-      event_runs[report.run_index] = &report;
-    } else if (report.id == full_id) {
-      full_runs[report.run_index] = &report;
-    }
-  }
+  const testutil::SweepRuns runs =
+      testutil::index_runs(reports, event_id, full_id, 3);
+  // The differential gate: event-driven (scanned or skipped-and-
+  // re-emitted) and full-sweep reports agree byte for byte once the
+  // timing/fastpath diagnostics are zeroed.
+  ASSERT_NO_FATAL_FAILURE(testutil::expect_runs_identical(runs));
+  const auto& event_runs = runs.event;
+  const auto& full_runs = runs.full;
   for (std::size_t r = 0; r < 3; ++r) {
-    ASSERT_NE(event_runs[r], nullptr);
-    ASSERT_NE(full_runs[r], nullptr);
     ASSERT_EQ(event_runs[r]->scans.size(), 1u);
     ASSERT_EQ(full_runs[r]->scans.size(), 1u);
-    // The differential gate: event-driven (scanned or skipped-and-
-    // re-emitted) and full-sweep reports agree byte for byte once the
-    // timing/fastpath diagnostics are zeroed.
-    EXPECT_EQ(normalized_json(event_runs[r]->scans[0]),
-              normalized_json(full_runs[r]->scans[0]))
-        << "run " << r;
   }
   // Runs 1 and 2 carry the detection on both paths (run 2's event tick is
   // a skip that re-emits it).

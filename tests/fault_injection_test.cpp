@@ -9,24 +9,34 @@
 //     the healthy majority still votes, and the quarantine is visible in
 //     the text, JSON and FleetService surfaces;
 //   * when too few peers answer, verdicts carry quorum_lost instead of
-//     pretending the paper's majority rule still holds.
+//     pretending the paper's majority rule still holds;
+//   * the incremental scanner and event-driven sweeps share that fault
+//     model: a faulting or unparseable guest never hangs a sharded fleet,
+//     and a fault in the middle of a cache refresh never leaves a
+//     half-patched image behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "attacks/byte_patch.hpp"
 #include "attacks/dll_import_inject.hpp"
 #include "attacks/inline_hook.hpp"
 #include "attacks/opcode_replace.hpp"
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
+#include "guestos/module_loader.hpp"
+#include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report.hpp"
 #include "modchecker/report_json.hpp"
+#include "service/coordinator.hpp"
 #include "service/fleet.hpp"
+#include "sweep_identity.hpp"
 #include "vmi/session.hpp"
 #include "vmm/fault_injection.hpp"
 
@@ -391,6 +401,248 @@ TEST(FleetFaults, QuarantineSurfacesAndRecurrenceRetries) {
   }
   EXPECT_EQ(fleet.stats().quarantine_events, 2u);
   EXPECT_EQ(fleet.stats().exhausted_runs, 0u);
+}
+
+// ---- event-driven sweeps share the fault model --------------------------------
+
+/// Drives one event-driven and one full sweep (three runs, two modules)
+/// over the same guests through a 2-shard coordinator and requires every
+/// run's verdicts, quarantine list and faults to agree
+/// (testutil::expect_runs_identical).
+void expect_event_sweep_matches_full(cloud::CloudEnvironment& env) {
+  service::CoordinatorConfig cfg;
+  cfg.shards = 2;
+  cfg.workers_per_shard = 1;
+  service::ShardCoordinator coordinator(cfg);
+  const std::size_t event_pool =
+      coordinator.add_pool(env.hypervisor(), env.guests());
+  const std::size_t full_pool =
+      coordinator.add_pool(env.hypervisor(), env.guests());
+  auto ring = std::make_shared<service::RingSink>();
+  coordinator.add_sink(ring);
+
+  const auto sweep = [](std::string name, std::size_t pool, bool event) {
+    service::SweepSpec spec;
+    spec.name = std::move(name);
+    spec.pool_index = pool;
+    spec.modules = {"hal.dll", "ntfs.sys"};
+    spec.repeat = 3;
+    spec.cadence = sim_ms(10);
+    spec.event_driven = event;
+    return spec;
+  };
+  coordinator.start();
+  const service::SweepId event_id =
+      coordinator.submit(sweep("event", event_pool, true));
+  const service::SweepId full_id =
+      coordinator.submit(sweep("full", full_pool, false));
+  ASSERT_NE(event_id, 0u);
+  ASSERT_NE(full_id, 0u);
+  coordinator.drain();  // a guest that breaks the event path hangs here
+
+  const auto reports = ring->snapshot();
+  testutil::expect_runs_identical(
+      testutil::index_runs(reports, event_id, full_id, 3));
+}
+
+TEST(EventDrivenFaults, FaultingGuestIsQuarantinedAndTheFleetDrains) {
+  auto env = make_env(5);
+  const vmm::DomainId faulty = env->guests()[3];
+  env->hypervisor().fault_injector().arm(faulty, always_fault());
+  expect_event_sweep_matches_full(*env);
+}
+
+TEST(EventDrivenFaults, UnparseableGuestIsFlaggedAndTheFleetDrains) {
+  auto env = make_env(5);
+  const vmm::DomainId corrupt = env->guests()[2];
+  // The guest zeroes its own module's DOS magic ("MZ"): two bytes that
+  // make its copy unparseable.
+  const guestos::LoadedModule* hal = env->loader(corrupt).find("hal.dll");
+  ASSERT_NE(hal, nullptr);
+  const Bytes zero = {0x00, 0x00};
+  env->kernel(corrupt).address_space().write_virtual(hal->base,
+                                                     ByteView(zero));
+  expect_event_sweep_matches_full(*env);
+}
+
+/// Verdicts and quarantine of an incremental scan equal to a fresh scan
+/// of the same state.
+void expect_same_verdicts(const PoolScanReport& report,
+                          const PoolScanReport& want,
+                          const std::string& context) {
+  ASSERT_EQ(report.verdicts.size(), want.verdicts.size()) << context;
+  for (std::size_t i = 0; i < want.verdicts.size(); ++i) {
+    EXPECT_EQ(report.verdicts[i].clean, want.verdicts[i].clean) << context;
+    EXPECT_EQ(report.verdicts[i].successes, want.verdicts[i].successes)
+        << context;
+    EXPECT_EQ(report.verdicts[i].total, want.verdicts[i].total) << context;
+    EXPECT_EQ(report.verdicts[i].quarantined, want.verdicts[i].quarantined)
+        << context;
+  }
+  EXPECT_EQ(report.quarantined, want.quarantined) << context;
+}
+
+/// A partial refresh that faults after the watch was drained: the victim's
+/// ntfs.sys carries a patch on its first dirty page (kFirst) that is
+/// reverted while a second page (kSecond) is patched, so the refresh
+/// re-reads the first page — now clean — and then faults on the second.
+/// Serving that half-patched image would report the victim clean.
+class MidRefreshFault : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kFirst = 0x1100;
+  static constexpr std::uint32_t kSecond = 0x2100;
+
+  void SetUp() override {
+    env_ = make_env(4);
+    victim_ = env_->guests()[1];
+    fresh_ = std::make_unique<ModChecker>(env_->hypervisor());
+    incremental_ = std::make_unique<IncrementalScanner>(env_->hypervisor());
+    vmm::FaultInjector& injector = env_->hypervisor().fault_injector();
+
+    // Count the guest reads of a cold fetch (list walk + full
+    // extraction), then warm the cache with the first patch in place.
+    injector.arm(victim_, vmm::FaultProfile{});
+    std::uint64_t before = injector.stats().reads_observed;
+    (void)incremental_->scan(kModule, env_->guests());
+    extract_reads_ = injector.stats().reads_observed - before;
+    attacks::BytePatchAttack(kFirst, 0x01).apply(*env_, victim_, kModule);
+    expect_same(incremental_->scan(kModule, env_->guests()), "first patch");
+
+    // Count the reads of a fetch that walks the loader list and finds the
+    // image clean: a same-value write elsewhere moves the domain's write
+    // generation without touching the module.
+    std::array<std::uint8_t, 1> byte{};
+    vmm::Domain& domain = env_->hypervisor().domain(victim_);
+    domain.memory().read(0, MutableByteView(byte));
+    domain.memory().write(0, ByteView(byte));
+    before = injector.stats().reads_observed;
+    (void)incremental_->scan(kModule, env_->guests());
+    walk_reads_ = injector.stats().reads_observed - before;
+    injector.disarm(victim_);
+    ASSERT_GT(walk_reads_, 0u);
+    ASSERT_GT(extract_reads_, walk_reads_);
+
+    attacks::BytePatchAttack(kFirst, 0x01).apply(*env_, victim_, kModule);
+    attacks::BytePatchAttack(kSecond, 0x01).apply(*env_, victim_, kModule);
+  }
+
+  void expect_same(const PoolScanReport& report, const std::string& context) {
+    expect_same_verdicts(report, fresh_->scan_pool(kModule, env_->guests()),
+                         context);
+  }
+
+  /// The victim's fault was raised while re-reading the second page.
+  void expect_second_page_fault(const FaultRecord& fault) {
+    const std::uint32_t base = env_->loader(victim_).find(kModule)->base;
+    EXPECT_EQ(fault.attempt, 1u);
+    EXPECT_EQ(fault.va & ~0xFFFu, (base + kSecond) & ~0xFFFu);
+  }
+
+  const std::string kModule = "ntfs.sys";
+  std::unique_ptr<cloud::CloudEnvironment> env_;
+  vmm::DomainId victim_ = 0;
+  std::unique_ptr<ModChecker> fresh_;
+  std::unique_ptr<IncrementalScanner> incremental_;
+  std::uint64_t walk_reads_ = 0;
+  std::uint64_t extract_reads_ = 0;
+};
+
+TEST_F(MidRefreshFault, NextTickReextracts) {
+  // Reads 1..walk_reads + 1 (list walk, first page) succeed, every later
+  // one faults: the victim is quarantined for this tick.
+  vmm::FaultInjector& injector = env_->hypervisor().fault_injector();
+  vmm::FaultProfile profile;
+  profile.fail_after_reads = walk_reads_ + 1;
+  injector.arm(victim_, profile);
+  const PoolScanReport faulted = incremental_->scan(kModule, env_->guests());
+  ASSERT_EQ(faulted.quarantined, std::vector<vmm::DomainId>{victim_});
+  ASSERT_FALSE(faulted.faults.empty());
+  expect_second_page_fault(faulted.faults[0]);
+  expect_same(faulted, "fault mid refresh");
+
+  // The guest answers again: the next fetch must re-extract the image,
+  // never serve the half-patched copy, and flag the victim.
+  injector.disarm(victim_);
+  const std::uint64_t full_before = incremental_->stats().full_extractions;
+  const PoolScanReport recovered = incremental_->scan(kModule, env_->guests());
+  EXPECT_EQ(incremental_->stats().full_extractions, full_before + 1);
+  expect_same(recovered, "after recovery");
+  EXPECT_FALSE(recovered.verdicts[1].clean);
+}
+
+TEST_F(MidRefreshFault, RetryInTheSameTickReextracts) {
+  // Exactly one fault, on the second page's read, and none in the retry:
+  // pick the seed of a rate-based profile whose (deterministic) decision
+  // stream has that shape, replayed on a private injector.
+  vmm::FaultProfile profile;
+  profile.read_fault_rate = 0.01;
+  const std::uint64_t fault_at = walk_reads_ + 2;
+  const std::uint64_t clean_after = extract_reads_ + 64;  // retry headroom
+  bool found = false;
+  for (std::uint64_t seed = 1; seed < 100000 && !found; ++seed) {
+    profile.seed = seed;
+    vmm::FaultInjector replay;
+    replay.arm(victim_, profile);
+    found = true;
+    for (std::uint64_t read = 1; read <= fault_at + clean_after; ++read) {
+      if (replay.should_fault_read(victim_) != (read == fault_at)) {
+        found = false;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+
+  vmm::FaultInjector& injector = env_->hypervisor().fault_injector();
+  injector.arm(victim_, profile);
+  const std::uint64_t full_before = incremental_->stats().full_extractions;
+  const PoolScanReport report = incremental_->scan(kModule, env_->guests());
+  injector.disarm(victim_);
+  // Attempt 2 answered — with a full re-extraction, not the drained cache.
+  EXPECT_TRUE(report.quarantined.empty());
+  ASSERT_EQ(report.faults.size(), 1u);
+  expect_second_page_fault(report.faults[0]);
+  EXPECT_EQ(incremental_->stats().full_extractions, full_before + 1);
+  expect_same(report, "retried refresh");
+  EXPECT_FALSE(report.verdicts[1].clean);
+}
+
+TEST_F(MidRefreshFault, PageRemappedOutsideGuestRamIsNeverServedStale) {
+  // Fresh sessions on both sides, so every fetch re-walks the page tables.
+  ModCheckerConfig config;
+  config.reuse_sessions = false;
+  IncrementalScanner incremental(env_->hypervisor(), config);
+  ModChecker fresh(env_->hypervisor(), config);
+  const auto check = [&](const std::string& context) {
+    const PoolScanReport report = incremental.scan(kModule, env_->guests());
+    expect_same_verdicts(report, fresh.scan_pool(kModule, env_->guests()),
+                         context);
+    return report;
+  };
+  (void)check("warm");
+
+  // A write dirties the watched page, then the guest points that page's
+  // PTE past the end of its RAM.  The refresh finds the frame moved and
+  // falls back to a full extraction, which registers a fresh (clean)
+  // watch before the copy throws MemoryError out of the physical layer.
+  // The retry must not take that clean watch as a clean module.
+  const std::uint32_t page_va =
+      (env_->loader(victim_).find(kModule)->base + kSecond) & ~0xFFFu;
+  vmm::AddressSpace& aspace = env_->kernel(victim_).address_space();
+  const std::uint64_t frame = *aspace.translate(page_va);
+  attacks::BytePatchAttack(kSecond, 0x02).apply(*env_, victim_, kModule);
+  const std::uint64_t ram = env_->hypervisor().domain(victim_).memory().size();
+  aspace.map_page(page_va, ram, true);
+  const PoolScanReport faulted = check("page outside guest RAM");
+  EXPECT_EQ(faulted.quarantined, std::vector<vmm::DomainId>{victim_});
+
+  // The guest maps the page back: the next fetch re-extracts it.
+  aspace.map_page(page_va, frame & ~0xFFFull, true);
+  const std::uint64_t full_before = incremental.stats().full_extractions;
+  const PoolScanReport recovered = check("page mapped back");
+  EXPECT_EQ(incremental.stats().full_extractions, full_before + 1);
+  EXPECT_TRUE(recovered.quarantined.empty());
+  EXPECT_FALSE(recovered.verdicts[1].clean);
 }
 
 }  // namespace

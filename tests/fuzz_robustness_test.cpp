@@ -16,6 +16,7 @@
 #include "cloud/catalog.hpp"
 #include "cloud/golden.hpp"
 #include "cloud/environment.hpp"
+#include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "pe/mapper.hpp"
 #include "pe/parser.hpp"
@@ -79,6 +80,9 @@ TEST_P(FuzzSeeds, HeaderCorruptionInGuestNeverCrashesChecker) {
   cfg.guest_count = 3;
   cloud::CloudEnvironment env(cfg);
   Xoshiro256 rng(GetParam());
+  // A warm incremental scanner: the corruption lands between its ticks.
+  core::IncrementalScanner incremental(env.hypervisor());
+  (void)incremental.scan("tcpip.sys", env.guests());
 
   // Corrupt 8 random bytes of the headers region of a loaded module.
   for (int i = 0; i < 8; ++i) {
@@ -93,6 +97,18 @@ TEST_P(FuzzSeeds, HeaderCorruptionInGuestNeverCrashesChecker) {
   // Whatever the corruption did, it must be *flagged*, not ignored and
   // not fatal.
   EXPECT_FALSE(report.subject_clean);
+
+  // The cache re-reads the corrupted pages and must reach the fresh pool
+  // scan's verdicts, unparseable copies included.
+  const auto fresh = checker.scan_pool("tcpip.sys", env.guests());
+  const auto warm = incremental.scan("tcpip.sys", env.guests());
+  ASSERT_EQ(warm.verdicts.size(), fresh.verdicts.size());
+  for (std::size_t i = 0; i < fresh.verdicts.size(); ++i) {
+    EXPECT_EQ(warm.verdicts[i].clean, fresh.verdicts[i].clean) << i;
+    EXPECT_EQ(warm.verdicts[i].successes, fresh.verdicts[i].successes) << i;
+    EXPECT_EQ(warm.verdicts[i].total, fresh.verdicts[i].total) << i;
+  }
+  EXPECT_FALSE(warm.verdicts[0].clean);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds, ::testing::Range<std::uint64_t>(1, 16));
