@@ -109,7 +109,7 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
       entry.ref_items.push_back(i);
     }
     entries_[module.domain] = std::move(entry);
-    eligible_count_.inc();
+    ++pending_.eligible;
     return;
   }
 
@@ -170,7 +170,7 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
     clock.charge(hash_charge(costs_, algorithm_, mod_copy.size()));
     if (!canonical_[i]) {
       canonical_[i] = d;
-      canonicals_established_.inc();
+      ++pending_.canonicals_established;
     } else if (*canonical_[i] != d) {
       eligible = false;
       continue;
@@ -180,9 +180,9 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
 
   entry.eligible = eligible;
   if (eligible) {
-    eligible_count_.inc();
+    ++pending_.eligible;
   } else {
-    ineligible_count_.inc();
+    ++pending_.ineligible;
   }
   entries_[module.domain] = std::move(entry);
 }
@@ -209,6 +209,11 @@ void CanonicalPool::finalize(SimClock& clock) {
       entry.digests[i] = ref_digests_[i];
     }
   }
+  // Only a finalized pass publishes its eligibility counts, so a pass that
+  // build_canonical_pool discards leaves no trace in "canonical.*".
+  eligible_count_.inc(pending_.eligible);
+  ineligible_count_.inc(pending_.ineligible);
+  canonicals_established_.inc(pending_.canonicals_established);
   finalized_ = true;
 }
 
@@ -322,6 +327,17 @@ void CanonicalPool::update(
   entries_[module.domain] = std::move(entry);
 }
 
+std::size_t CanonicalPool::eligible_copies() const {
+  return static_cast<std::size_t>(
+      std::count_if(entries_.begin(), entries_.end(),
+                    [](const auto& kv) { return kv.second.eligible; }));
+}
+
+vmm::DomainId CanonicalPool::reference_domain() const {
+  MC_CHECK(reference_ != nullptr, "CanonicalPool has no reference");
+  return reference_->domain;
+}
+
 bool CanonicalPool::eligible(vmm::DomainId vm) const {
   const auto it = entries_.find(vm);
   return it != entries_.end() && it->second.eligible;
@@ -331,6 +347,47 @@ const std::vector<crypto::Digest>& CanonicalPool::digests(
     vmm::DomainId vm) const {
   MC_CHECK(finalized_, "CanonicalPool::digests before finalize");
   return entries_.at(vm).digests;
+}
+
+CanonicalPool build_canonical_pool(
+    const std::vector<const ParsedModule*>& copies,
+    crypto::HashAlgorithm algorithm, const vmi::HostCostModel& costs,
+    telemetry::MetricRegistry* metrics, simd::Policy policy,
+    SimClock& clock) {
+  MC_CHECK(!copies.empty(), "build_canonical_pool without copies");
+  const auto pass = [&](std::size_t pin) {
+    CanonicalPool pool(algorithm, costs, metrics, policy);
+    pool.add(*copies[pin], clock);
+    for (std::size_t i = 0; i < copies.size(); ++i) {
+      if (i != pin) {
+        pool.add(*copies[i], clock);
+      }
+    }
+    return pool;
+  };
+
+  CanonicalPool first = pass(0);
+  const std::size_t first_eligible = first.eligible_copies();
+  if (2 * first_eligible <= copies.size()) {
+    // The first copy is not backed by a majority (an infected reference
+    // strands every clean copy): try once more, pinned to the first copy
+    // that did not reduce against it.
+    const auto stranded =
+        std::find_if(copies.begin(), copies.end(), [&](const ParsedModule* m) {
+          return !first.eligible(m->domain);
+        });
+    if (stranded != copies.end()) {
+      telemetry::resolve(metrics).counter("canonical.repins").inc();
+      CanonicalPool second =
+          pass(static_cast<std::size_t>(stranded - copies.begin()));
+      if (second.eligible_copies() > first_eligible) {
+        second.finalize(clock);
+        return second;
+      }
+    }
+  }
+  first.finalize(clock);
+  return first;
 }
 
 }  // namespace mc::core

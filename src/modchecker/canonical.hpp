@@ -12,7 +12,7 @@
 //      VM and compared t-1 times for free (DigestTable).
 //
 //   2. rva-sensitive items CAN be normalized against a single reference.
-//      Pick the first VM as the reference R.  For any VM X at a different
+//      Pick one copy as the reference R.  For any VM X at a different
 //      base, run the paper's own pairwise Algorithm 2 on (R, X): if every
 //      difference resolves, both post-adjust buffers equal "R with every
 //      relocation rewritten to its RVA" — a *canonical form* that is
@@ -30,6 +30,15 @@
 // established (the defense against a crafted copy that spuriously
 // resolves against R: it may pair with R, exactly as it would in the slow
 // path, but it cannot impersonate the honest majority's canonical).
+//
+// Reference choice (build_canonical_pool).  The equivalence argument never
+// assumes R is clean, so any copy may serve as R; the choice only decides
+// how many copies are eligible.  R is the first usable copy.  If at most
+// half the copies reduce against it — typically because R itself is
+// infected and strands every clean copy — one more pass pins R to the
+// first copy that did not reduce, and is kept only if strictly more copies
+// are eligible.  A pool runs at most two passes; a clean pool, or one
+// whose first copy holds the majority, runs one.
 #pragma once
 
 #include <cstdint>
@@ -120,7 +129,8 @@ class DigestTable {
 ///
 /// Usage: add() every successfully parsed copy (reference first), then
 /// finalize(), then query eligible()/digests().  Added modules must
-/// outlive the pool (the reference's item bytes are borrowed).
+/// outlive the pool (the reference's item bytes are borrowed).  Pool scans
+/// build it through build_canonical_pool, which picks the reference.
 /// Single-threaded by design: canonicalization is the O(t) part and runs
 /// on the orchestrator's clock.
 class CanonicalPool {
@@ -176,11 +186,18 @@ class CanonicalPool {
   /// True if `vm` was added and reduced cleanly to the canonical form.
   bool eligible(vmm::DomainId vm) const;
 
+  /// Added copies that reduced cleanly, the reference included.
+  std::size_t eligible_copies() const;
+
+  /// Domain of the reference copy (the first one added).
+  vmm::DomainId reference_domain() const;
+
   /// Post-finalize: per-item digests in reference item order.  Two
   /// eligible VMs' modules pairwise-match iff their vectors are equal.
   const std::vector<crypto::Digest>& digests(vmm::DomainId vm) const;
 
-  /// Deprecated view over the registry aggregates "canonical.*".
+  /// Deprecated view over the registry aggregates "canonical.*".  add()
+  /// counts are published by finalize(), so an unfinalized pass reads 0.
   // mc-lint: allow(adhoc-stats)
   struct Stats {
     std::uint64_t eligible = 0;
@@ -221,11 +238,28 @@ class CanonicalPool {
   std::vector<std::optional<crypto::Digest>> canonical_;
   std::vector<crypto::Digest> ref_digests_;  // valid after finalize()
   bool finalized_ = false;
+  /// add()'s counts, published to the counters below by finalize().
+  Stats pending_;
 
   std::map<vmm::DomainId, Entry> entries_;
   telemetry::OwnedCounter eligible_count_;
   telemetry::OwnedCounter ineligible_count_;
   telemetry::OwnedCounter canonicals_established_;
 };
+
+/// Canonicalizes the usable copies of one module (pool order, at least
+/// one) and returns the finalized pool, choosing the reference by the rule
+/// in the header comment: pinned to copies[0]; if at most half the copies
+/// are eligible against it, re-pinned once to the first ineligible copy,
+/// kept only if strictly more copies are eligible.  Every pass's work is
+/// charged to `clock`; only the kept pass counts in "canonical.eligible",
+/// "canonical.ineligible" and "canonical.canonicals_established", and
+/// "canonical.repins" counts second passes.  The single reference-choice
+/// rule for fresh scans (NormalizeStage) and the incremental scanner.
+CanonicalPool build_canonical_pool(
+    const std::vector<const ParsedModule*>& copies,
+    crypto::HashAlgorithm algorithm, const vmi::HostCostModel& costs,
+    telemetry::MetricRegistry* metrics, simd::Policy policy,
+    SimClock& clock);
 
 }  // namespace mc::core

@@ -137,44 +137,59 @@ CanonicalPool* IncrementalScanner::refresh_canonical(
   if (!pipeline_.normalize().enabled()) {
     return nullptr;
   }
-  // Reference = first parsed copy in pool order, mirroring pool_scan.
   const auto usable = [](const CacheEntry* e) {
     return e->ex.found && !e->ex.parse_failed;
   };
-  const auto ref = std::find_if(entries.begin(), entries.end(), usable);
-  if (ref == entries.end()) {
-    canon_.erase(module_name);
-    return nullptr;
-  }
-  const auto ref_index = static_cast<std::size_t>(ref - entries.begin());
+  // The pin holds while the pinned copy is in the pool, usable and
+  // unchanged: the pool borrows its ParsedModule, which stays
+  // address-stable in cache_ and content-stable while its generation does.
+  const auto pin_holds = [&](const CanonState& state) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i] == state.ref_vm) {
+        return usable(entries[i]) &&
+               entries[i]->ex.generation == state.ref_generation;
+      }
+    }
+    return false;
+  };
 
-  CanonState& state = canon_[module_name];
-  const vmm::DomainId ref_vm = pool[ref_index];
-  const Extraction& ref_ex = (*ref)->ex;
-  if (!state.pool || state.ref_vm != ref_vm ||
-      state.ref_generation != ref_ex.generation) {
-    // No pool yet, or the borrowed reference changed content/identity:
-    // O(t) rebuild — the cost a fresh scan pays every tick.
-    state.pool = std::make_unique<CanonicalPool>(
-        context_.config.algorithm, context_.config.host_costs,
-        context_.metrics, context_.policy());
+  const auto found = canon_.find(module_name);
+  if (found == canon_.end() || !pin_holds(found->second)) {
+    // No pool yet, or the pinned copy changed or left: O(t) rebuild under
+    // the fresh scan's reference-choice rule — the cost a fresh scan pays
+    // every tick.
+    std::vector<const ParsedModule*> copies;
+    copies.reserve(pool.size());
+    for (const CacheEntry* entry : entries) {
+      if (usable(entry)) {
+        copies.push_back(&entry->ex.parsed);
+      }
+    }
+    if (copies.empty()) {
+      canon_.erase(module_name);
+      return nullptr;
+    }
+    CanonState& state = canon_[module_name];
+    state.pool = std::make_unique<CanonicalPool>(build_canonical_pool(
+        copies, context_.config.algorithm, context_.config.host_costs,
+        context_.metrics, context_.policy(), clock));
+    state.ref_vm = state.pool->reference_domain();
     state.generations.clear();
-    state.ref_vm = ref_vm;
-    state.ref_generation = ref_ex.generation;
     for (std::size_t i = 0; i < pool.size(); ++i) {
       if (usable(entries[i])) {
-        state.pool->add(entries[i]->ex.parsed, clock);
         state.generations[pool[i]] = entries[i]->ex.generation;
       }
     }
-    state.pool->finalize(clock);
+    state.ref_generation = state.generations.at(state.ref_vm);
     return state.pool.get();
   }
 
-  // Stable reference: only changed copies re-normalize (O(changed)).
+  // Stable pin: only changed copies re-normalize (O(changed)), the first
+  // copy included when the pin sits elsewhere.
+  CanonState& state = found->second;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     const CacheEntry& entry = *entries[i];
-    if (i == ref_index || !usable(&entry)) {
+    if (pool[i] == state.ref_vm || !usable(&entry)) {
       continue;
     }
     const auto it = state.generations.find(pool[i]);

@@ -99,11 +99,14 @@ class IncrementalScanner {
   };
 
   /// Persistent canonical-RVA state for one module name (fast path only).
-  /// The pool borrows the reference entry's ParsedModule, which stays
-  /// address-stable in cache_ (std::map nodes) and content-stable while
-  /// its generation holds; any reference change rebuilds the pool, and a
-  /// changed non-reference copy re-normalizes alone via update() — so a
-  /// tick's normalize cost is O(changed copies), not O(t).
+  /// The pool borrows the pinned reference entry's ParsedModule, which
+  /// stays address-stable in cache_ (std::map nodes) and content-stable
+  /// while its generation holds.  The pin is whatever build_canonical_pool
+  /// chose at the last rebuild and holds until the pinned copy changes or
+  /// leaves the pool; any other changed copy re-normalizes alone via
+  /// update() — so a tick's normalize cost is O(changed copies), not
+  /// O(t), and a patched reference reverted on the next tick is one
+  /// update() against the re-pinned reference, not a rebuild.
   struct CanonState {
     std::unique_ptr<CanonicalPool> pool;
     vmm::DomainId ref_vm = 0;
@@ -112,8 +115,9 @@ class IncrementalScanner {
   };
 
   /// Brings the module's canonical pool up to date with the fetched
-  /// entries (rebuild on reference change, update() per changed copy) and
-  /// returns it; null when the fast path is disabled or nothing parsed.
+  /// entries (rebuild when the pinned copy changed or left, update() per
+  /// other changed copy) and returns it; null when the fast path is
+  /// disabled or nothing parsed.
   CanonicalPool* refresh_canonical(const std::string& module_name,
                                    const std::vector<vmm::DomainId>& pool,
                                    const std::vector<CacheEntry*>& entries,

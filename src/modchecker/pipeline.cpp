@@ -148,20 +148,22 @@ std::optional<CanonicalPool> NormalizeStage::canonicalize(
   if (!enabled()) {
     return std::nullopt;
   }
-  std::optional<CanonicalPool> canon;
-  canon.emplace(ctx_->config.algorithm, ctx_->config.host_costs,
-                ctx_->metrics, ctx_->policy());
-  bool any = false;
+  std::vector<const ParsedModule*> copies;
+  copies.reserve(extractions.size());
   for (const auto& ex : extractions) {
     if (ex.found && !ex.parse_failed) {
-      canon->add(ex.parsed, clock);
-      any = true;
+      copies.push_back(&ex.parsed);
     }
   }
-  if (any) {
-    canon->finalize(clock);
+  if (copies.empty()) {
+    // Nothing parsed: an empty pool, so no pair takes the fast path.
+    return std::optional<CanonicalPool>(std::in_place, ctx_->config.algorithm,
+                                        ctx_->config.host_costs, ctx_->metrics,
+                                        ctx_->policy());
   }
-  return canon;
+  return build_canonical_pool(copies, ctx_->config.algorithm,
+                              ctx_->config.host_costs, ctx_->metrics,
+                              ctx_->policy(), clock);
 }
 
 // ---- Compare ---------------------------------------------------------------
@@ -543,8 +545,10 @@ PoolScanReport CheckPipeline::cross_check(
     verdicts[i].peers_answered = answered - (copies[i]->unavailable ? 0 : 1);
   }
 
-  // Normalize: canonical-RVA reduction against the first copy (O(t) image
-  // work); eligible pairs are then decided by digest-vector comparison.
+  // Normalize: canonical-RVA reduction against one reference copy (O(t)
+  // image work; build_canonical_pool re-pins once past a first copy that
+  // strands the majority); eligible pairs are then decided by
+  // digest-vector comparison.
   // Any copy that does not reduce cleanly drops its pairs to the exact
   // pairwise fallback below — verdict-identical to the slow path.
   SimClock canon_clock;

@@ -19,7 +19,8 @@
 //              FormatError is a finding, not a crash.  The only
 //              ModuleParser owner.
 //   Normalize  Algorithm 2 / canonical-RVA reduction of a pool of copies
-//              against one reference (CanonicalPool).
+//              against one reference (CanonicalPool, reference chosen by
+//              build_canonical_pool).
 //   Compare    pairwise item comparison through the IntegrityChecker,
 //              with optional digest memoization.
 //   Vote       the paper's majority rule  n > (t-1)/2.
@@ -92,8 +93,9 @@ struct RetryPolicy {
 
 /// Faults worth retrying are the transient ones (a paged-out read, a
 /// mid-update page table, a guest still booting).  A vanished domain, a
-/// guest with no debug block or an unrecognized build will not heal on a
-/// 50us backoff — they quarantine immediately.
+/// guest with no debug block, an unrecognized build or a loader list that
+/// never returns to its head will not heal on a 50us backoff — they
+/// quarantine immediately.
 inline bool retryable_fault(FaultCode code) {
   switch (code) {
     case FaultCode::kReadFault:
@@ -103,6 +105,7 @@ inline bool retryable_fault(FaultCode code) {
     case FaultCode::kDomainGone:
     case FaultCode::kDebugBlockMissing:
     case FaultCode::kUnrecognizedBuild:
+    case FaultCode::kLoaderListCycle:
       return false;
   }
   return false;
@@ -455,8 +458,9 @@ class NormalizeStage {
   /// prefilter in the way).
   bool enabled() const;
 
-  /// Builds the canonical pool over every successfully parsed extraction,
-  /// charging normalization to `clock`.  Disengaged when !enabled().
+  /// Builds the canonical pool over every successfully parsed extraction
+  /// (build_canonical_pool: reference choice and the one re-pin), charging
+  /// normalization to `clock`.  Disengaged when !enabled().
   std::optional<CanonicalPool> canonicalize(
       const std::vector<Extraction>& extractions, SimClock& clock) const;
 

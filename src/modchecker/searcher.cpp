@@ -23,6 +23,23 @@ namespace {
   throw GuestFaultError(std::move(record));
 }
 
+/// Entries a loader-list walk may visit before it gives up on reaching the
+/// list head again.  A guest controls its own Flinks, so a cycle is
+/// hostile (or corrupt) guest state: a non-retryable fault that
+/// quarantines the guest, never an exception that unwinds the sweep.
+constexpr std::size_t kMaxListEntries = 4096;
+
+FaultRecord loader_list_cycle(std::uint32_t domain, std::uint32_t head) {
+  FaultRecord record;
+  record.code = FaultCode::kLoaderListCycle;
+  record.domain = domain;
+  record.va = head;
+  record.stage = CheckStage::kAcquire;
+  record.detail = "loader list did not return to its head within " +
+                  std::to_string(kMaxListEntries) + " entries";
+  return record;
+}
+
 /// Reads a list entry's module name per the profile's convention:
 /// UNICODE_STRING descriptor (Windows builds) or inline NUL-padded char
 /// array (Linux builds).
@@ -113,7 +130,9 @@ Fallible<std::vector<ModuleInfo>> ModuleSearcher::try_list_modules() {
       return std::move(link.fault());
     }
     cur = link.value();
-    MC_CHECK(modules.size() < 4096, "loader list cycle suspected");
+    if (modules.size() >= kMaxListEntries) {
+      return loader_list_cycle(session_->domain_id(), head);
+    }
   }
   return modules;
 }
@@ -168,7 +187,9 @@ Fallible<std::optional<ModuleInfo>> ModuleSearcher::try_find_module(
       return std::move(link.fault());
     }
     cur = link.value();
-    MC_CHECK(++visited < 4096, "loader list cycle suspected");
+    if (++visited >= kMaxListEntries) {
+      return loader_list_cycle(session_->domain_id(), head);
+    }
   }
   return std::optional<ModuleInfo>(std::nullopt);
 }

@@ -34,6 +34,7 @@ enum class FaultCode : std::uint8_t {
   kDebugBlockMissing,  // KDBG-style scan found no debug block
   kDomainGone,         // domain disappeared between list and attach
   kUnrecognizedBuild,  // debug-block version id matches no known profile
+  kLoaderListCycle,    // loader-list walk exceeded its entry bound (cycle)
 };
 
 /// Which pipeline stage observed the fault.

@@ -2,6 +2,8 @@
 // digest value semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <ostream>
 #include <string>
 
@@ -57,6 +59,49 @@ INSTANTIATE_TEST_SUITE_P(
                   "57edf4a22be3c955ac49da2e2107b67a"}));
 
 // ---- SHA-1 / SHA-256: FIPS 180 vectors ----------------------------------------
+TEST(Md5, MillionAs) {
+  // One-shot over 15625 full blocks (plus the padding block): every round
+  // step runs against real input, well past the 80-byte RFC vectors.
+  const std::string input(1000000, 'a');
+  EXPECT_EQ(Md5::hash(sv(input)).hex(), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+/// 3000 bytes of xorshift32 output (seed 0x2545F491, low byte per step).
+/// The pinned digest below was computed independently with Python's
+/// hashlib over the same generator, so it checks the code against an
+/// outside implementation rather than against itself.
+Bytes xorshift_bytes() {
+  std::uint32_t x = 0x2545F491u;
+  Bytes out(3000);
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x & 0xFFu);
+  }
+  return out;
+}
+
+constexpr const char* kXorshiftMd5 = "c17b393218e4f489d292aed9ce7ccc7e";
+
+TEST(Md5, SeededRandomBufferMatchesPinnedDigest) {
+  EXPECT_EQ(Md5::hash(xorshift_bytes()).hex(), kXorshiftMd5);
+}
+
+TEST(Md5, UnalignedInputMatchesPinnedDigest) {
+  // The block loads are word loads: the same bytes at every misalignment
+  // of a larger buffer must hash alike.
+  const Bytes data = xorshift_bytes();
+  Bytes wide(data.size() + 8, 0xEE);
+  for (std::size_t offset = 1; offset <= 7; ++offset) {
+    std::copy(data.begin(), data.end(),
+              wide.begin() + static_cast<std::ptrdiff_t>(offset));
+    EXPECT_EQ(Md5::hash(ByteView(wide).subspan(offset, data.size())).hex(),
+              kXorshiftMd5)
+        << "offset " << offset;
+  }
+}
+
 TEST(Sha1, Fips180Vectors) {
   EXPECT_EQ(Sha1::hash(sv("")).hex(),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709");

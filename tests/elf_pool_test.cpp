@@ -3,7 +3,8 @@
 // the fast and faithful configurations stay verdict-identical, and the
 // E1-E4 attack analogues — .text byte patch, fixup-pointer redirection,
 // .rela table tampering, header corruption, DKOM-style module hiding —
-// are detected and localized to the tampered VM.
+// are detected and localized to the tampered VM, including when the
+// tampered VM is the pool's first copy (the fast path re-pins past it).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -140,6 +141,22 @@ TEST(ElfAttacks, TextBytePatchIsLocalized) {
   // (and only those) run the exact pairwise fallback.
   EXPECT_EQ(report.fallback_pairs, 5u);
   EXPECT_EQ(report.fastpath_pairs, 10u);
+}
+
+TEST(ElfAttacks, PatchedReferenceTextIsRepinnedPast) {
+  // The same .text patch on the pool's first copy, the default reference,
+  // at the paper's largest pool size: the scan re-pins the reference to a
+  // clean copy, so only the patched copy's 14 pairs run the fallback.
+  auto env = make_env(15);
+  const vmm::DomainId victim = env->guests()[0];
+  const std::uint32_t va = section_va(*env, victim, "scsi_mod", ".text") + 3;
+  const Bytes patch = {0xCC};
+  env->kernel(victim).address_space().write_virtual(va, ByteView(patch));
+
+  const auto report = scan_both_ways(*env, "scsi_mod");
+  EXPECT_EQ(dirty_count(report, victim), 1u);
+  EXPECT_EQ(report.fallback_pairs, 14u);
+  EXPECT_EQ(report.fastpath_pairs, 91u);
 }
 
 // ---- E2 analogue: fixup pointer redirected ------------------------------------

@@ -33,6 +33,7 @@
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report_json.hpp"
 #include "service/fleet.hpp"
+#include "telemetry/registry.hpp"
 #include "sweep_identity.hpp"
 #include "util/bytes.hpp"
 
@@ -137,6 +138,46 @@ TEST(EventDrivenDifferential, AttacksBetweenTicksPe) {
   for (std::size_t i = 0; i < report.verdicts.size(); ++i) {
     EXPECT_FALSE(report.verdicts[i].clean) << "vm " << report.verdicts[i].vm;
   }
+}
+
+// ---- Reference patched, then reverted ------------------------------------------
+
+TEST(EventDrivenDifferential, PatchedReferenceRevertedWithoutRebuild) {
+  // The pool's first copy is the canonical reference.  Patched between
+  // ticks, it strands every clean copy: the rebuild re-pins to the first
+  // clean copy.  Reverted on the next tick, it is one changed copy
+  // re-normalized against that pin — no O(t) rebuild, so no canonical is
+  // established again.
+  auto env = make_env(6);
+  telemetry::MetricRegistry reg;
+  ModCheckerConfig cfg;
+  cfg.metrics = &reg;
+  IncrementalScanner incremental(env->hypervisor(), cfg);
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "ntfs.sys";
+  const attacks::BytePatchAttack patch(0x1080, 0x5A);  // XOR: twice reverts
+  const auto count = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+
+  expect_tick_identical(incremental, fresh, module, env->guests(), "tick 0");
+  const std::uint64_t repins_before = count("canonical.repins");
+
+  patch.apply(*env, env->guests()[0], module);
+  expect_tick_identical(incremental, fresh, module, env->guests(),
+                        "reference patched");
+
+  const std::uint64_t established = count("canonical.canonicals_established");
+  patch.apply(*env, env->guests()[0], module);
+  expect_tick_identical(incremental, fresh, module, env->guests(),
+                        "reference reverted");
+  EXPECT_EQ(count("canonical.canonicals_established"), established);
+  EXPECT_EQ(count("canonical.repins") - repins_before, 1u);
+
+  // The reverted copy is eligible again: every pair takes the fast path.
+  const PoolScanReport settled = incremental.scan(module, env->guests());
+  EXPECT_EQ(settled.fallback_pairs, 0u);
+  EXPECT_EQ(settled.fastpath_pairs, 15u);
 }
 
 // ---- Differential gate: E1-E4 analogues between ticks (ELF) -------------------

@@ -23,6 +23,8 @@
 #include "cloud/environment.hpp"
 #include "modchecker/canonical.hpp"
 #include "modchecker/modchecker.hpp"
+#include "modchecker/report_json.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -155,8 +157,152 @@ TEST(FastpathEquivalence, TwoInfectedVmsIncludingReference) {
   auto env = make_env(8);
   attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
   attacks::OpcodeReplaceAttack{}.apply(*env, env->guests()[5], "hal.dll");
-  scan_both_ways(*env, "hal.dll");
+  const auto report = scan_both_ways(*env, "hal.dll");
+  // Re-pinned past the hooked first copy: only the two infected copies
+  // fall back (7 + 6 pairs); the six clean copies stay on the fast path.
+  EXPECT_EQ(report.fallback_pairs, 13u);
+  EXPECT_EQ(report.fastpath_pairs, 15u);
 }
+
+// ---- reference re-pin ----------------------------------------------------------
+
+/// Registry totals one fast scan leaves behind.
+struct CanonCounts {
+  std::uint64_t eligible = 0;
+  std::uint64_t ineligible = 0;
+  std::uint64_t repins = 0;
+};
+
+CanonCounts fast_scan_counts(cloud::CloudEnvironment& env,
+                             const std::string& module) {
+  telemetry::MetricRegistry reg;
+  ModCheckerConfig cfg = fast_config();
+  cfg.metrics = &reg;
+  ModChecker(env.hypervisor(), cfg).scan_pool(module, env.guests());
+  return {reg.counter("canonical.eligible").value(),
+          reg.counter("canonical.ineligible").value(),
+          reg.counter("canonical.repins").value()};
+}
+
+TEST(ReferenceRepin, InlineHookedReferenceAtFifteen) {
+  // The paper's largest pool with the first copy (the default reference)
+  // hooked.  Against it no clean copy reduces; re-pinned to the first
+  // clean copy, all 14 do, and only the hooked copy's pairs fall back.
+  auto env = make_env(15);
+  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
+  const auto report = scan_both_ways(*env, "hal.dll");
+  EXPECT_EQ(report.fallback_pairs, 14u);
+  EXPECT_EQ(report.fastpath_pairs, 91u);
+  for (const auto& v : report.verdicts) {
+    EXPECT_EQ(v.clean, v.vm != env->guests()[0]) << "vm " << v.vm;
+  }
+  // Only the kept pass counts; the discarded one shows as one re-pin.
+  const CanonCounts counts = fast_scan_counts(*env, "hal.dll");
+  EXPECT_EQ(counts.eligible, 14u);
+  EXPECT_EQ(counts.ineligible, 1u);
+  EXPECT_EQ(counts.repins, 1u);
+}
+
+TEST(ReferenceRepin, FirstCopyHoldingTheMajorityRunsOnePass) {
+  // Three of five copies carry the same patch, the first among them: the
+  // first copy is backed by a majority, so no second pass runs — and the
+  // verdicts are the paper's (a majority infection wins the vote).
+  auto env = make_env(5);
+  for (const std::size_t i : {0u, 1u, 2u}) {
+    attacks::BytePatchAttack(0x1080, 0x5A).apply(*env, env->guests()[i],
+                                                 "ntfs.sys");
+  }
+  const auto report = scan_both_ways(*env, "ntfs.sys");
+  EXPECT_EQ(report.fastpath_pairs, 3u);   // the three patched copies
+  EXPECT_EQ(report.fallback_pairs, 7u);   // every pair with a clean copy
+  const CanonCounts counts = fast_scan_counts(*env, "ntfs.sys");
+  EXPECT_EQ(counts.eligible, 3u);
+  EXPECT_EQ(counts.repins, 0u);
+}
+
+/// pool_scan as it ran before build_canonical_pool: every copy normalized
+/// in one pass against the first, charges and report fields assembled by
+/// hand from the pipeline's public stages.  The in-test oracle for "a
+/// clean pool's report did not move" (clean pools only: it assumes every
+/// copy was found and parsed).
+PoolScanReport single_pass_pool_scan(ModChecker& checker,
+                                     const std::string& module,
+                                     const std::vector<vmm::DomainId>& pool) {
+  CheckPipeline& p = checker.pipeline();
+  const CheckContext& ctx = p.context();
+  PoolScanReport report;
+  report.module_name = module;
+  std::vector<Extraction> copies;
+  for (const vmm::DomainId vm : pool) {
+    copies.push_back(p.acquire_and_parse(vm, module));
+    report.cpu_times += copies.back().times;
+    report.wall_time += copies.back().times.total();
+  }
+
+  SimClock canon_clock;
+  canon_clock.set_slowdown(ctx.hypervisor->dom0_slowdown());
+  CanonicalPool canon(ctx.config.algorithm, ctx.config.host_costs,
+                      ctx.metrics, ctx.policy());
+  for (const Extraction& ex : copies) {
+    if (ex.found && !ex.parse_failed) {
+      canon.add(ex.parsed, canon_clock);
+    }
+  }
+  canon.finalize(canon_clock);
+
+  report.verdicts.resize(pool.size());
+  SimNanos fallback_time = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    report.verdicts[i].vm = pool[i];
+    report.verdicts[i].peers_total = pool.size() - 1;
+    report.verdicts[i].peers_answered = pool.size() - 1;
+  }
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = i + 1; j < pool.size(); ++j) {
+      ++report.verdicts[i].total;
+      ++report.verdicts[j].total;
+      bool match = false;
+      if (canon.eligible(pool[i]) && canon.eligible(pool[j])) {
+        ++report.fastpath_pairs;
+        canon_clock.charge(ctx.config.host_costs.digest_pair_fixed);
+        match = canon.digests(pool[i]) == canon.digests(pool[j]);
+      } else {
+        ++report.fallback_pairs;
+        SimClock pair_clock;
+        pair_clock.set_slowdown(ctx.hypervisor->dom0_slowdown());
+        match = p.compare()
+                    .compare(copies[i].parsed, copies[j].parsed, pair_clock)
+                    .all_match;
+        fallback_time += pair_clock.now();
+      }
+      if (match) {
+        ++report.verdicts[i].successes;
+        ++report.verdicts[j].successes;
+      }
+    }
+  }
+  report.cpu_times.checker += canon_clock.now() + fallback_time;
+  report.wall_time += canon_clock.now() + fallback_time;
+  p.vote().finalize(report.verdicts);
+  return report;
+}
+
+class CleanPoolReportBytes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CleanPoolReportBytes, IdenticalToSinglePassOracle) {
+  auto env = make_env(GetParam());
+  for (const std::string module : {"hal.dll", "http.sys"}) {
+    ModChecker scanned(env->hypervisor());
+    ModChecker oracle(env->hypervisor());
+    const std::string want =
+        to_json(single_pass_pool_scan(oracle, module, env->guests()));
+    EXPECT_EQ(to_json(scanned.scan_pool(module, env->guests())), want)
+        << module;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, CleanPoolReportBytes,
+                         ::testing::Values(2, 3, 5, 8, 15));
 
 TEST(FastpathEquivalence, BytePatchDropsOnlyVictimPairsToFallback) {
   auto env = make_env(6);
@@ -367,6 +513,59 @@ TEST(CanonicalPoolUnit, DivergentCanonicalIsRejected) {
   pool.finalize(clock);
   EXPECT_TRUE(pool.eligible(2));   // established the canonical
   EXPECT_FALSE(pool.eligible(3));  // resolves, but to a different canonical
+}
+
+TEST(CanonicalPoolUnit, DivergentCanonicalRepinKeepsCorrectVerdicts) {
+  // The DivergentCanonicalIsRejected construction plus an honest full
+  // relocation (both sites moved): against the first copy only it and the
+  // A-only partner reduce (2 of 4), so a second pass pins the B-only copy.
+  // That pass strands the other two and is discarded.  Whatever pass is
+  // kept, digest-vector equality must equal the pairwise verdict.
+  const std::uint32_t ref_base = 0x00010000;
+  auto make_text = [&](std::uint32_t a_word, std::uint32_t b_word) {
+    Bytes b(16, 0x90);
+    store_le32(b, 4, a_word);
+    store_le32(b, 12, b_word);
+    return b;
+  };
+  const std::uint32_t rva_a = 0x111, rva_b = 0x222;
+  const std::uint32_t base2 = 0x00230000, base3 = 0x00570000,
+                      base4 = 0x00890000;
+  const std::vector<ParsedModule> modules = {
+      synth_module(1, ref_base, make_text(ref_base + rva_a, ref_base + rva_b)),
+      synth_module(2, base2, make_text(base2 + rva_a, ref_base + rva_b)),
+      synth_module(3, base3, make_text(ref_base + rva_a, base3 + rva_b)),
+      synth_module(4, base4, make_text(base4 + rva_a, base4 + rva_b))};
+  std::vector<const ParsedModule*> copies;
+  for (const ParsedModule& m : modules) {
+    copies.push_back(&m);
+  }
+
+  telemetry::MetricRegistry reg;
+  SimClock clock;
+  const CanonicalPool pool =
+      build_canonical_pool(copies, crypto::HashAlgorithm::kMd5,
+                           vmi::HostCostModel{}, &reg, simd::Policy::kAuto,
+                           clock);
+  EXPECT_EQ(reg.counter("canonical.repins").value(), 1u);
+  EXPECT_EQ(pool.reference_domain(), 1u);  // the first pass was kept
+  EXPECT_EQ(pool.eligible_copies(), 2u);
+  EXPECT_EQ(reg.counter("canonical.eligible").value(), 2u);
+  EXPECT_EQ(reg.counter("canonical.ineligible").value(), 2u);
+
+  const IntegrityChecker checker;
+  for (const ParsedModule& a : modules) {
+    for (const ParsedModule& b : modules) {
+      if (a.domain >= b.domain || !pool.eligible(a.domain) ||
+          !pool.eligible(b.domain)) {
+        continue;
+      }
+      SimClock pair_clock;
+      EXPECT_EQ(pool.digests(a.domain) == pool.digests(b.domain),
+                checker.compare(a, b, pair_clock).all_match)
+          << a.domain << " vs " << b.domain;
+    }
+  }
 }
 
 TEST(CanonicalPoolUnit, ShapeMismatchIsIneligible) {

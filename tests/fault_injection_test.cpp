@@ -29,6 +29,7 @@
 #include "attacks/opcode_replace.hpp"
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
+#include "guestos/kernel.hpp"
 #include "guestos/module_loader.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
@@ -408,8 +409,9 @@ TEST(FleetFaults, QuarantineSurfacesAndRecurrenceRetries) {
 /// Drives one event-driven and one full sweep (three runs, two modules)
 /// over the same guests through a 2-shard coordinator and requires every
 /// run's verdicts, quarantine list and faults to agree
-/// (testutil::expect_runs_identical).
-void expect_event_sweep_matches_full(cloud::CloudEnvironment& env) {
+/// (testutil::expect_runs_identical).  Returns every run's report.
+std::vector<service::SweepReport> expect_event_sweep_matches_full(
+    cloud::CloudEnvironment& env) {
   service::CoordinatorConfig cfg;
   cfg.shards = 2;
   cfg.workers_per_shard = 1;
@@ -436,13 +438,14 @@ void expect_event_sweep_matches_full(cloud::CloudEnvironment& env) {
       coordinator.submit(sweep("event", event_pool, true));
   const service::SweepId full_id =
       coordinator.submit(sweep("full", full_pool, false));
-  ASSERT_NE(event_id, 0u);
-  ASSERT_NE(full_id, 0u);
+  EXPECT_NE(event_id, 0u);
+  EXPECT_NE(full_id, 0u);
   coordinator.drain();  // a guest that breaks the event path hangs here
 
-  const auto reports = ring->snapshot();
+  std::vector<service::SweepReport> reports = ring->snapshot();
   testutil::expect_runs_identical(
       testutil::index_runs(reports, event_id, full_id, 3));
+  return reports;
 }
 
 TEST(EventDrivenFaults, FaultingGuestIsQuarantinedAndTheFleetDrains) {
@@ -463,6 +466,41 @@ TEST(EventDrivenFaults, UnparseableGuestIsFlaggedAndTheFleetDrains) {
   env->kernel(corrupt).address_space().write_virtual(hal->base,
                                                      ByteView(zero));
   expect_event_sweep_matches_full(*env);
+}
+
+TEST(EventDrivenFaults, LoaderListCycleIsQuarantinedAndTheFleetDrains) {
+  auto env = make_env(5);
+  const vmm::DomainId hostile = env->guests()[2];
+  // The guest points its first loader entry's Flink back at itself, so a
+  // walk for any later module never returns to the PsLoadedModuleList
+  // head.  The walk's entry bound must end in a non-retryable fault that
+  // quarantines the guest, not in an exception that kills a shard worker
+  // and leaves drain() waiting forever.
+  guestos::GuestKernel& kernel = env->kernel(hostile);
+  Bytes flink(4);
+  kernel.address_space().read_virtual(kernel.ps_loaded_module_list_va(),
+                                      MutableByteView(flink));
+  const std::uint32_t first = load_le32(flink, 0);
+  kernel.address_space().write_virtual(
+      first + kernel.profile().off_in_load_order_links, ByteView(flink));
+
+  const std::vector<service::SweepReport> reports =
+      expect_event_sweep_matches_full(*env);
+  ASSERT_EQ(reports.size(), 6u);  // 3 runs each of the event and full sweep
+  for (const service::SweepReport& report : reports) {
+    EXPECT_EQ(report.quarantined, std::vector<vmm::DomainId>{hostile});
+    EXPECT_FALSE(report.pool_exhausted);
+    bool cycle_fault = false;
+    for (const PoolScanReport& scan : report.scans) {
+      for (const FaultRecord& fault : scan.faults) {
+        EXPECT_EQ(fault.domain, hostile);
+        EXPECT_EQ(fault.code, FaultCode::kLoaderListCycle);
+        EXPECT_EQ(fault.attempt, 1u);  // never retried
+        cycle_fault = true;
+      }
+    }
+    EXPECT_TRUE(cycle_fault);
+  }
 }
 
 /// Verdicts and quarantine of an incremental scan equal to a fresh scan
