@@ -60,6 +60,26 @@ Fallible<std::string> try_read_entry_name(vmi::VmiSession& session,
   return std::string(bytes.begin(), nul);
 }
 
+/// Reads a list entry's DllBase, EntryPoint and SizeOfImage, in that
+/// order, into `info`.
+MaybeFault try_read_entry_layout(vmi::VmiSession& session,
+                                 const gw::GuestProfile& profile,
+                                 std::uint32_t entry_va, ModuleInfo& info) {
+  const std::pair<std::uint32_t, std::uint32_t*> fields[] = {
+      {profile.off_dll_base, &info.base},
+      {profile.off_entry_point, &info.entry_point},
+      {profile.off_size_of_image, &info.size_of_image},
+  };
+  for (const auto& [offset, field] : fields) {
+    Fallible<std::uint32_t> value = session.try_read_u32(entry_va + offset);
+    if (!value.ok()) {
+      return std::move(value.fault());
+    }
+    *field = value.value();
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Fallible<const gw::GuestProfile*> ModuleSearcher::try_profile() {
@@ -83,13 +103,13 @@ Fallible<const gw::GuestProfile*> ModuleSearcher::try_profile() {
   return profile;
 }
 
-Fallible<std::vector<ModuleInfo>> ModuleSearcher::try_list_modules() {
+template <typename Visit>
+MaybeFault ModuleSearcher::walk_loader_list(Visit&& visit) {
   Fallible<const gw::GuestProfile*> looked_up = try_profile();
   if (!looked_up.ok()) {
     return std::move(looked_up.fault());
   }
   const gw::GuestProfile& profile = *looked_up.value();
-  std::vector<ModuleInfo> modules;
   // try_guest_version succeeded, so the debug block is resolved and the
   // symbol lookup below cannot fault.
   const std::uint32_t head = session_->symbol_to_va("PsLoadedModuleList");
@@ -98,88 +118,14 @@ Fallible<std::vector<ModuleInfo>> ModuleSearcher::try_list_modules() {
     return std::move(link.fault());
   }
   std::uint32_t cur = link.value();
-  while (cur != head) {
-    ModuleInfo info;
-    Fallible<std::uint32_t> base =
-        session_->try_read_u32(cur + profile.off_dll_base);
-    if (!base.ok()) {
-      return std::move(base.fault());
-    }
-    info.base = base.value();
-    Fallible<std::uint32_t> entry =
-        session_->try_read_u32(cur + profile.off_entry_point);
-    if (!entry.ok()) {
-      return std::move(entry.fault());
-    }
-    info.entry_point = entry.value();
-    Fallible<std::uint32_t> size =
-        session_->try_read_u32(cur + profile.off_size_of_image);
-    if (!size.ok()) {
-      return std::move(size.fault());
-    }
-    info.size_of_image = size.value();
-    Fallible<std::string> name = try_read_entry_name(*session_, profile, cur);
-    if (!name.ok()) {
-      return std::move(name.fault());
-    }
-    info.name = std::move(name.value());
-    modules.push_back(std::move(info));
-    link = session_->try_read_u32(cur + profile.off_in_load_order_links +
-                                  gw::kOffListFlink);
-    if (!link.ok()) {
-      return std::move(link.fault());
-    }
-    cur = link.value();
-    if (modules.size() >= kMaxListEntries) {
-      return loader_list_cycle(session_->domain_id(), head);
-    }
-  }
-  return modules;
-}
-
-Fallible<std::optional<ModuleInfo>> ModuleSearcher::try_find_module(
-    const std::string& module_name) {
-  // Same traversal, but stop at the first match (the paper's searcher looks
-  // for one module by name).
-  Fallible<const gw::GuestProfile*> looked_up = try_profile();
-  if (!looked_up.ok()) {
-    return std::move(looked_up.fault());
-  }
-  const gw::GuestProfile& profile = *looked_up.value();
-  const std::uint32_t head = session_->symbol_to_va("PsLoadedModuleList");
-  Fallible<std::uint32_t> link = session_->try_read_u32(head + gw::kOffListFlink);
-  if (!link.ok()) {
-    return std::move(link.fault());
-  }
-  std::uint32_t cur = link.value();
   std::size_t visited = 0;
   while (cur != head) {
-    Fallible<std::string> name = try_read_entry_name(*session_, profile, cur);
-    if (!name.ok()) {
-      return std::move(name.fault());
+    Fallible<WalkStep> step = visit(profile, cur);
+    if (!step.ok()) {
+      return std::move(step.fault());
     }
-    if (gw::module_name_equals(name.value(), module_name)) {
-      ModuleInfo info;
-      info.name = std::move(name.value());
-      Fallible<std::uint32_t> base =
-          session_->try_read_u32(cur + profile.off_dll_base);
-      if (!base.ok()) {
-        return std::move(base.fault());
-      }
-      info.base = base.value();
-      Fallible<std::uint32_t> entry =
-          session_->try_read_u32(cur + profile.off_entry_point);
-      if (!entry.ok()) {
-        return std::move(entry.fault());
-      }
-      info.entry_point = entry.value();
-      Fallible<std::uint32_t> size =
-          session_->try_read_u32(cur + profile.off_size_of_image);
-      if (!size.ok()) {
-        return std::move(size.fault());
-      }
-      info.size_of_image = size.value();
-      return std::optional<ModuleInfo>(std::move(info));
+    if (step.value() == WalkStep::kStop) {
+      return std::nullopt;
     }
     link = session_->try_read_u32(cur + profile.off_in_load_order_links +
                                   gw::kOffListFlink);
@@ -191,7 +137,64 @@ Fallible<std::optional<ModuleInfo>> ModuleSearcher::try_find_module(
       return loader_list_cycle(session_->domain_id(), head);
     }
   }
-  return std::optional<ModuleInfo>(std::nullopt);
+  return std::nullopt;
+}
+
+Fallible<std::vector<ModuleInfo>> ModuleSearcher::try_list_modules() {
+  std::vector<ModuleInfo> modules;
+  MaybeFault fault = walk_loader_list(
+      [&](const gw::GuestProfile& profile,
+          std::uint32_t entry_va) -> Fallible<WalkStep> {
+        ModuleInfo info;
+        if (MaybeFault f =
+                try_read_entry_layout(*session_, profile, entry_va, info)) {
+          return std::move(*f);
+        }
+        Fallible<std::string> name =
+            try_read_entry_name(*session_, profile, entry_va);
+        if (!name.ok()) {
+          return std::move(name.fault());
+        }
+        info.name = std::move(name.value());
+        modules.push_back(std::move(info));
+        return WalkStep::kNext;
+      });
+  if (fault) {
+    return std::move(*fault);
+  }
+  return modules;
+}
+
+Fallible<std::optional<ModuleInfo>> ModuleSearcher::try_find_module(
+    const std::string& module_name) {
+  // Same traversal, but stop at the first match (the paper's searcher looks
+  // for one module by name): the name is read first, the layout only for
+  // the match.
+  std::optional<ModuleInfo> found;
+  MaybeFault fault = walk_loader_list(
+      [&](const gw::GuestProfile& profile,
+          std::uint32_t entry_va) -> Fallible<WalkStep> {
+        Fallible<std::string> name =
+            try_read_entry_name(*session_, profile, entry_va);
+        if (!name.ok()) {
+          return std::move(name.fault());
+        }
+        if (!gw::module_name_equals(name.value(), module_name)) {
+          return WalkStep::kNext;
+        }
+        ModuleInfo info;
+        info.name = std::move(name.value());
+        if (MaybeFault f =
+                try_read_entry_layout(*session_, profile, entry_va, info)) {
+          return std::move(*f);
+        }
+        found = std::move(info);
+        return WalkStep::kStop;
+      });
+  if (fault) {
+    return std::move(*fault);
+  }
+  return found;
 }
 
 Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(

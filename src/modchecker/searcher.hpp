@@ -64,6 +64,18 @@ class ModuleSearcher {
   /// fault or unrecognized build).
   Fallible<const guestos::GuestProfile*> try_profile();
 
+  /// What a loader-list visitor asks of the walk after one entry.
+  enum class WalkStep { kNext, kStop };
+
+  /// The one loader-list walk: resolves the profile, then calls
+  /// `visit(profile, entry_va)` -> Fallible<WalkStep> on each entry by
+  /// Flink from PsLoadedModuleList.  Ends when the list returns to its
+  /// head, the visitor stops it or faults, or after kMaxListEntries
+  /// entries (a loader-list-cycle fault).  Defined in searcher.cpp, its
+  /// only user.
+  template <typename Visit>
+  MaybeFault walk_loader_list(Visit&& visit);
+
   vmi::VmiSession* session_;
 };
 

@@ -1,8 +1,10 @@
 #include "service/coordinator.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace mc::service {
@@ -14,6 +16,7 @@ ShardCoordinator::ShardCoordinator(CoordinatorConfig config)
       submitted_(engine_.metrics().owned_counter("service.submitted")),
       dropped_pending_(
           engine_.metrics().owned_counter("service.dropped_pending")),
+      failed_runs_(engine_.metrics().owned_counter("service.failed_runs")),
       queue_depth_(engine_.metrics().gauge("service.queue_depth")),
       sweeps_in_flight_(engine_.metrics().gauge("service.sweeps_in_flight")),
       ring_(config_.virtual_nodes) {
@@ -382,18 +385,34 @@ void ShardCoordinator::worker_loop(std::size_t shard_index) {
     if (front > due && front - due > config_.admission.slo_lag) {
       deadline_misses_.inc();
     }
-    SweepEngine::ExecuteResult result = engine_.execute(
-        std::move(*run),
-        [this](SweepId id) { return is_cancelled_anywhere(id); });
-    self.record_run(result.wall_time, stolen);
-    // frontier = max(frontier, due): CAS loop, relaxed is fine (the value
-    // is monotonic and advisory).
-    std::uint64_t seen = frontier_.load(std::memory_order_relaxed);
-    while (seen < due && !frontier_.compare_exchange_weak(
-                             seen, due, std::memory_order_relaxed)) {
+    const SweepId run_id = run->id;
+    const std::size_t run_index = run->run_index;
+    std::optional<SweepEngine::ExecuteResult> result;
+    try {
+      result = engine_.execute(
+          std::move(*run),
+          [this](SweepId id) { return is_cancelled_anywhere(id); });
+    } catch (const std::exception& e) {
+      // A throwing module hook or sink (or any other error escaping the
+      // run) fails this run alone: record it and fall through to release
+      // the in-flight accounting, so drain() never waits on it.  The
+      // recurrence chain ends here, as on cancel — a deterministic throw
+      // would otherwise fail again on every re-run.
+      failed_runs_.inc();
+      log_error("sweep %llu run %zu failed: %s",
+                static_cast<unsigned long long>(run_id), run_index, e.what());
     }
-    if (result.next) {
-      route(std::move(*result.next));
+    if (result) {
+      self.record_run(result->wall_time, stolen);
+      // frontier = max(frontier, due): CAS loop, relaxed is fine (the
+      // value is monotonic and advisory).
+      std::uint64_t seen = frontier_.load(std::memory_order_relaxed);
+      while (seen < due && !frontier_.compare_exchange_weak(
+                               seen, due, std::memory_order_relaxed)) {
+      }
+      if (result->next) {
+        route(std::move(*result->next));
+      }
     }
     sweeps_in_flight_.add(-1);
     owner.queue().done();  // after the recurrence route — see wait_idle()
@@ -444,6 +463,7 @@ ShardCoordinator::Stats ShardCoordinator::stats() const {
   out.submitted = submitted_.value();
   out.completed_runs = runs.completed_runs;
   out.cancelled_runs = runs.cancelled_runs;
+  out.failed_runs = failed_runs_.value();
   out.dropped_pending = dropped_pending_.value();
   out.quarantine_events = runs.quarantine_events;
   out.exhausted_runs = runs.exhausted_runs;

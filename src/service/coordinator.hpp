@@ -33,6 +33,11 @@
 // the engine below the shard layer, per-pool scan costs are unchanged.
 // Two runs with the same seed replay identically under SimClock.
 //
+// Failed runs.  An exception escaping a run (a throwing module hook or
+// sink) fails that run alone: the worker counts it (Stats::failed_runs),
+// releases its in-flight accounting so drain() still returns, and keeps
+// looping.  The run is not retried and its recurrence chain ends.
+//
 // Worker wake protocol.  Workers poll queues with try_pop (own shard
 // first, then steal) and park on one coordinator-wide condition variable;
 // every push/close/kill notifies under the wake mutex, so a wakeup can
@@ -148,6 +153,9 @@ class ShardCoordinator {
     std::uint64_t submitted = 0;
     std::uint64_t completed_runs = 0;
     std::uint64_t cancelled_runs = 0;
+    /// Runs ended by an exception escaping the engine (a throwing module
+    /// hook or sink, say); each ends its sweep's recurrence chain.
+    std::uint64_t failed_runs = 0;
     std::uint64_t dropped_pending = 0;
     std::uint64_t quarantine_events = 0;
     std::uint64_t exhausted_runs = 0;
@@ -208,6 +216,7 @@ class ShardCoordinator {
   // shards=1 registry namespace (and emit_telemetry JSON) is unchanged.
   telemetry::OwnedCounter submitted_;
   telemetry::OwnedCounter dropped_pending_;
+  telemetry::OwnedCounter failed_runs_;
   telemetry::Gauge queue_depth_;
   telemetry::Gauge sweeps_in_flight_;
   // "coordinator.*" cells — detached in classic mode (see sharded_mode()).

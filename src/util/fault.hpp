@@ -88,7 +88,7 @@ class GuestFaultError : public VmiError {
 /// Deliberately minimal (no monadic sugar) — call sites read as
 /// `if (!r.ok()) return r.fault();`.  The class itself is [[nodiscard]]:
 /// dropping a Fallible return silently converts a guest fault into
-/// "nothing happened" (the tier-2 fallible-discard rule enforces the same
+/// "nothing happened" (the mc_lint fallible-discard rule enforces the same
 /// contract across files, with or without the attribute in scope).
 template <typename T>
 class [[nodiscard]] Fallible {

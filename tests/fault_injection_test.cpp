@@ -468,21 +468,27 @@ TEST(EventDrivenFaults, UnparseableGuestIsFlaggedAndTheFleetDrains) {
   expect_event_sweep_matches_full(*env);
 }
 
-TEST(EventDrivenFaults, LoaderListCycleIsQuarantinedAndTheFleetDrains) {
-  auto env = make_env(5);
-  const vmm::DomainId hostile = env->guests()[2];
-  // The guest points its first loader entry's Flink back at itself, so a
-  // walk for any later module never returns to the PsLoadedModuleList
-  // head.  The walk's entry bound must end in a non-retryable fault that
-  // quarantines the guest, not in an exception that kills a shard worker
-  // and leaves drain() waiting forever.
-  guestos::GuestKernel& kernel = env->kernel(hostile);
+/// The guest points its first loader entry's Flink back at itself, so a
+/// walk for any later module (or of the whole list) never returns to the
+/// PsLoadedModuleList head.
+void self_link_first_loader_entry(cloud::CloudEnvironment& env,
+                                  vmm::DomainId vm) {
+  guestos::GuestKernel& kernel = env.kernel(vm);
   Bytes flink(4);
   kernel.address_space().read_virtual(kernel.ps_loaded_module_list_va(),
                                       MutableByteView(flink));
   const std::uint32_t first = load_le32(flink, 0);
   kernel.address_space().write_virtual(
       first + kernel.profile().off_in_load_order_links, ByteView(flink));
+}
+
+TEST(EventDrivenFaults, LoaderListCycleIsQuarantinedAndTheFleetDrains) {
+  auto env = make_env(5);
+  const vmm::DomainId hostile = env->guests()[2];
+  // The walk's entry bound must end in a non-retryable fault that
+  // quarantines the guest, not in an exception that kills a shard worker
+  // and leaves drain() waiting forever.
+  self_link_first_loader_entry(*env, hostile);
 
   const std::vector<service::SweepReport> reports =
       expect_event_sweep_matches_full(*env);
@@ -501,6 +507,26 @@ TEST(EventDrivenFaults, LoaderListCycleIsQuarantinedAndTheFleetDrains) {
     }
     EXPECT_TRUE(cycle_fault);
   }
+}
+
+// The whole-list walk (compare_module_lists) shares the find walk's entry
+// bound: the cycle is one non-retryable fault that marks the guest
+// unavailable, and the other guests' lists still agree.
+TEST(ListWalkFaults, LoaderListCycleMakesTheGuestUnavailable) {
+  auto env = make_env(5);
+  const vmm::DomainId hostile = env->guests()[2];
+  self_link_first_loader_entry(*env, hostile);
+
+  ModChecker checker(env->hypervisor());
+  const ListComparisonReport report =
+      checker.compare_module_lists(env->guests());
+  EXPECT_EQ(report.unavailable, std::vector<vmm::DomainId>{hostile});
+  ASSERT_EQ(report.faults.size(), 1u);
+  EXPECT_EQ(report.faults[0].domain, hostile);
+  EXPECT_EQ(report.faults[0].code, FaultCode::kLoaderListCycle);
+  EXPECT_EQ(report.faults[0].attempt, 1u);  // never retried
+  EXPECT_TRUE(report.consistent());
+  EXPECT_EQ(report.modules_seen, env->config().load_order.size());
 }
 
 /// Verdicts and quarantine of an incremental scan equal to a fresh scan

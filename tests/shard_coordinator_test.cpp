@@ -2,17 +2,21 @@
 // (including the trailing-digit avalanche regression), the admission
 // decision table, single-shard byte-identity with the FleetService facade,
 // multi-shard report identity, work stealing, deterministic chaos
-// re-sharding with zero sweep loss, SLO frontier accounting, and the
+// re-sharding with zero sweep loss, SLO frontier accounting, failed-run
+// isolation (a throwing hook or sink never hangs drain()), and the
 // per-shard MetricView namespace.  Runs under the tsan ctest label: the
 // coordinator's steal path, chaos kill, and shared wake signal must be
 // clean under ThreadSanitizer, not just correct.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -517,6 +521,81 @@ TEST(ShardCoordinator, FrontierTracksDueTimesAndFlagsSloMisses) {
 }
 
 // ---- telemetry namespaces -----------------------------------------------------
+
+// ---- failed runs ----------------------------------------------------------------
+
+/// Forwards every report to a callback (which may throw).
+class CallbackSink : public SweepSink {
+ public:
+  explicit CallbackSink(std::function<void(const SweepReport&)> fn)
+      : fn_(std::move(fn)) {}
+  void on_sweep(const SweepReport& report) override { fn_(report); }
+
+ private:
+  std::function<void(const SweepReport&)> fn_;
+};
+
+/// Drives a 2-shard x 1-worker coordinator over two pools: a recurring
+/// "bad" sweep whose first run throws — from the module hook, or from a
+/// sink that sees its report first — and a one-shot "good" sweep.  The
+/// failed run must release its in-flight accounting (drain() returns, the
+/// gauge reads 0), end its recurrence chain (no re-run of a deterministic
+/// failure), and leave the other sweep's report untouched.
+void expect_failed_run_is_isolated(bool throw_in_sink) {
+  auto env = make_env(4);
+  telemetry::MetricRegistry reg;
+  CoordinatorConfig cfg;
+  cfg.shards = 2;
+  cfg.workers_per_shard = 1;
+  cfg.metrics = &reg;
+  ShardCoordinator coordinator(cfg);
+  const std::size_t bad_pool =
+      coordinator.add_pool(env->hypervisor(), env->guests());
+  const std::size_t good_pool =
+      coordinator.add_pool(env->hypervisor(), env->guests());
+  SweepSpec bad = spec("bad", bad_pool, {"hal.dll", "ntfs.sys"});
+  bad.repeat = 3;
+  bad.cadence = sim_ms(10);
+  const SweepId bad_id = coordinator.submit(std::move(bad));
+  const SweepId good_id =
+      coordinator.submit(spec("good", good_pool, {"hal.dll"}));
+  ASSERT_NE(bad_id, 0u);
+  ASSERT_NE(good_id, 0u);
+
+  std::atomic<bool> thrown{false};
+  const auto throw_once = [&](SweepId id) {
+    if (id == bad_id && !thrown.exchange(true)) {
+      throw std::runtime_error("injected failure");
+    }
+  };
+  if (throw_in_sink) {
+    coordinator.add_sink(std::make_shared<CallbackSink>(
+        [&](const SweepReport& report) { throw_once(report.id); }));
+  } else {
+    coordinator.set_module_hook(
+        [&](SweepId id, std::size_t, const std::string&) { throw_once(id); });
+  }
+  auto ring = std::make_shared<RingSink>();
+  coordinator.add_sink(ring);
+  coordinator.start();
+  coordinator.drain();  // hung forever before failed runs were released
+
+  EXPECT_TRUE(thrown.load());
+  const std::vector<SweepReport> reports = ring->snapshot();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].id, good_id);
+  EXPECT_FALSE(reports[0].cancelled);
+  EXPECT_EQ(coordinator.stats().failed_runs, 1u);
+  EXPECT_EQ(reg.gauge("service.sweeps_in_flight").value(), 0);
+}
+
+TEST(ShardCoordinator, ThrowingModuleHookFailsOneRunAndDrains) {
+  expect_failed_run_is_isolated(/*throw_in_sink=*/false);
+}
+
+TEST(ShardCoordinator, ThrowingSinkFailsOneRunAndDrains) {
+  expect_failed_run_is_isolated(/*throw_in_sink=*/true);
+}
 
 TEST(MetricView, SnapshotFiltersByPrefix) {
   telemetry::MetricRegistry reg;

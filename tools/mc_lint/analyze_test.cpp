@@ -1,12 +1,10 @@
-// mc_analyze self-tests: fixture files per semantic rule (true positives
-// at exact lines, suppressed sites, near-miss negatives), the differential
-// guarantee (the tier-2 legacy port reports byte-identical findings to the
-// tier-1 scanner over src/ and every fixture), cross-file indexing, option
-// plumbing, SARIF structure, and per-file error resilience.
+// mc_analyze self-tests: the rule catalog, fixture files per semantic rule
+// (true positives at exact lines, suppressed sites, near-miss negatives),
+// cross-file indexing, option plumbing, SARIF structure, and recorded file
+// errors.  The line rules' fixtures live in lint_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -14,7 +12,6 @@
 #include <vector>
 
 #include "analyzer.hpp"
-#include "linter.hpp"
 #include "sarif.hpp"
 
 namespace {
@@ -36,7 +33,7 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// Runs the tier-2 engine over one fixture file in isolation.
+/// Runs the analyzer over one fixture file in isolation.
 AnalyzeResult analyze_fixture(const std::string& name,
                               const AnalyzeOptions& opts = {}) {
   Analyzer a;
@@ -57,37 +54,21 @@ std::vector<int> lines_of(const AnalyzeResult& result,
   return lines;
 }
 
-/// Every *.cpp / *.hpp under `root`, sorted.
-std::vector<std::string> tree_files(const std::string& root) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
-    if (!entry.is_regular_file()) {
-      continue;
-    }
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".cpp" || ext == ".hpp") {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
 // ---- Catalog ---------------------------------------------------------------
 
 TEST(AnalyzeCatalog, SeventeenRules) {
-  const auto ids = mc::lint::all_rule_ids();
+  const auto& ids = mc::lint::rule_ids();
   ASSERT_EQ(ids.size(), 17u);
+  // The ten line rules, then the seven semantic rules.
   for (const char* rule :
-       {"fallible-discard", "lock-order", "sim-determinism", "guest-taint",
-        "hotpath-copy", "watch-bypass", "shard-bypass"}) {
+       {"raw-reinterpret-cast", "raw-memcpy", "std-rand", "naked-new",
+        "naked-delete", "parser-bounds-check", "pipeline-bypass",
+        "format-bypass", "catch-swallow", "adhoc-stats", "fallible-discard",
+        "lock-order", "sim-determinism", "guest-taint", "hotpath-copy",
+        "watch-bypass", "shard-bypass"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), rule), ids.end()) << rule;
   }
-  // The tier-1 catalog rides along unchanged.
-  for (const std::string& rule : mc::lint::rule_ids()) {
-    EXPECT_NE(std::find(ids.begin(), ids.end(), rule), ids.end()) << rule;
-  }
+  EXPECT_EQ(std::set<std::string>(ids.begin(), ids.end()).size(), 17u);
 }
 
 // ---- fallible-discard ------------------------------------------------------
@@ -268,37 +249,6 @@ TEST(AnalyzeFixtures, ShardBypassSanctionedTus) {
   }
 }
 
-// ---- Differential guarantee ------------------------------------------------
-
-TEST(AnalyzeDifferential, LegacyPortMatchesTier1) {
-  // The tier-2 port of the ten tier-1 rules must report byte-identical
-  // findings on every real translation unit and every fixture — src/ (the
-  // clean corpus), the tier-1 fixtures (22 deliberate violations), and the
-  // tier-2 fixtures.
-  std::vector<std::string> files = tree_files(MC_LINT_SRC_DIR);
-  for (const auto& f : tree_files(MC_LINT_FIXTURE_DIR)) {
-    files.push_back(f);
-  }
-  for (const auto& f : tree_files(MC_ANALYZE_FIXTURE_DIR)) {
-    files.push_back(f);
-  }
-  ASSERT_GT(files.size(), 30u);
-  std::size_t total = 0;
-  for (const std::string& file : files) {
-    const std::string content = read_file(file);
-    const auto tier1 = mc::lint::lint_source(file, content);
-    const auto tier2 = Analyzer::legacy_findings(file, content);
-    ASSERT_EQ(tier1.size(), tier2.size()) << file;
-    for (std::size_t i = 0; i < tier1.size(); ++i) {
-      EXPECT_EQ(mc::lint::format_finding(tier1[i]),
-                mc::lint::format_finding(tier2[i]))
-          << file;
-    }
-    total += tier1.size();
-  }
-  EXPECT_GE(total, 22u);  // the tier-1 fixture corpus alone contributes 22
-}
-
 // ---- Options ---------------------------------------------------------------
 
 TEST(AnalyzeOptionsTest, DisabledRuleIsSkipped) {
@@ -325,12 +275,12 @@ TEST(AnalyzeSarif, StructurallyValid) {
   const auto result = analyze_fixture("guest_taint.cpp");
   ASSERT_FALSE(result.findings.empty());
   const std::string sarif =
-      mc::lint::to_sarif(result.findings, mc::lint::all_rule_ids());
+      mc::lint::to_sarif(result.findings, mc::lint::rule_ids());
 
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
   EXPECT_NE(sarif.find("\"name\": \"mc_analyze\""), std::string::npos);
-  for (const std::string& rule : mc::lint::all_rule_ids()) {
+  for (const std::string& rule : mc::lint::rule_ids()) {
     EXPECT_NE(sarif.find("{\"id\": \"" + rule + "\"}"), std::string::npos)
         << rule;
   }
@@ -351,27 +301,13 @@ TEST(AnalyzeSarif, EscapesMessageText) {
   const std::vector<Finding> findings = {
       {"dir/f.cpp", 3, "guest-taint", "quote \" backslash \\ tab \t done"}};
   const std::string sarif =
-      mc::lint::to_sarif(findings, mc::lint::all_rule_ids());
+      mc::lint::to_sarif(findings, mc::lint::rule_ids());
   EXPECT_NE(sarif.find("quote \\\" backslash \\\\ tab \\t done"),
             std::string::npos);
   EXPECT_EQ(sarif.find('\t'), std::string::npos);
 }
 
 // ---- Error resilience ------------------------------------------------------
-
-TEST(AnalyzeErrors, WalkContinuesPastUnreadableFiles) {
-  std::vector<std::string> errors;
-  const auto findings =
-      mc::lint::lint_tree("/no/such/path/anywhere.cpp", &errors);
-  EXPECT_TRUE(findings.empty());
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("/no/such/path/anywhere.cpp"), std::string::npos);
-}
-
-TEST(AnalyzeErrors, LegacyThrowingContractKept) {
-  EXPECT_THROW(mc::lint::lint_tree("/no/such/path/anywhere.cpp"),
-               std::exception);
-}
 
 TEST(AnalyzeErrors, AnalyzerSurfacesRecordedErrors) {
   Analyzer a;

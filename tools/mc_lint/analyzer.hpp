@@ -1,12 +1,14 @@
-// mc_analyze — the tier-2, token-stream analysis engine.
+// mc_analyze — the token-stream analysis engine behind mc_lint.
 //
-// Tier 1 (linter.hpp) is the fast per-line scanner; this engine re-lexes
-// each translation unit into a real token stream, builds a cross-file
-// function index (index.hpp) from every indexed path, and runs:
+// The engine lexes each translation unit into a real token stream, builds
+// a cross-file function index (index.hpp) from every indexed path, and
+// runs seventeen rules (RULES.md):
 //
-//   * the token-stream port of all nine tier-1 rules (byte-identical
-//     findings — proven by the differential self-test), and
-//   * seven semantic rules the line scanner cannot express:
+//   * ten line rules — raw-reinterpret-cast, raw-memcpy, std-rand,
+//     naked-new, naked-delete, parser-bounds-check, pipeline-bypass,
+//     format-bypass, catch-swallow, adhoc-stats (rules_legacy.cpp; their
+//     fixture expectations in lint_test.cpp pin each quirk), and
+//   * seven semantic rules that need the token stream or the index:
 //
 //   fallible-discard   a call to a function indexed as returning
 //                      Fallible<T>/MaybeFault whose result is discarded as
@@ -53,8 +55,8 @@
 #include <utility>
 #include <vector>
 
+#include "finding.hpp"
 #include "index.hpp"
-#include "linter.hpp"
 
 namespace mc::lint {
 
@@ -74,11 +76,9 @@ struct AnalyzeResult {
   std::vector<std::string> errors;
 };
 
-/// The seven semantic rule ids introduced by this engine.
-const std::vector<std::string>& analyzer_rule_ids();
-
-/// Full catalog: the ten tier-1 ids plus the seven semantic ids.
-std::vector<std::string> all_rule_ids();
+/// The rule catalog (the strings accepted by allow(...), --disable and
+/// --allow): the ten line rules, then the seven semantic rules.
+const std::vector<std::string>& rule_ids();
 
 class Analyzer {
  public:
@@ -95,11 +95,6 @@ class Analyzer {
   AnalyzeResult run(const AnalyzeOptions& opts = {});
 
   const FunctionIndex& index() const { return index_; }
-
-  /// The tier-2 port of the nine tier-1 rules alone, suppressions applied —
-  /// the surface the differential self-test compares against lint_source().
-  static std::vector<Finding> legacy_findings(const std::string& file,
-                                              const std::string& content);
 
  private:
   struct Unit {

@@ -1,35 +1,79 @@
-// mc_lint self-tests: fixture files with known violations (exact rule IDs
-// and line numbers), the suppression mechanism, and the comment/string
-// stripper's corner cases.
+// mc_lint self-tests for the ten line rules: fixture files with known
+// violations (exact rule IDs, line numbers and message text), the
+// suppression mechanism, and the comment/string stripper's corner cases.
+// Every case runs the full analyzer, so these expectations pin the line
+// rules' quirks and also prove that no semantic rule fires on the corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "linter.hpp"
+#include "analyzer.hpp"
 
 namespace {
 
+using mc::lint::Analyzer;
 using mc::lint::Finding;
-using mc::lint::lint_file;
-using mc::lint::lint_source;
-using mc::lint::lint_tree;
 
 std::string fixture(const std::string& name) {
   return std::string(MC_LINT_FIXTURE_DIR) + "/" + name;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot read " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Analyzes one in-memory file on its own; `file_name` is for reporting
+/// and the owner predicates only.  Findings are ordered by line.
+std::vector<Finding> lint_source(const std::string& file_name,
+                                 const std::string& content) {
+  Analyzer a;
+  a.add_source(file_name, content);
+  return a.run().findings;
+}
+
+std::vector<Finding> lint_file(const std::string& path) {
+  return lint_source(path, read_file(path));
+}
+
+/// Analyzes every *.cpp / *.hpp under `root` in one run, as the CLI does
+/// for a directory argument.
+std::vector<Finding> lint_tree(const std::string& root) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    const std::string ext = entry.path().extension().string();
+    if (entry.is_regular_file() && (ext == ".cpp" || ext == ".hpp")) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  Analyzer a;
+  for (const std::string& file : files) {
+    a.add_source(file, read_file(file));
+  }
+  return a.run().findings;
+}
+
 TEST(LintRules, CatalogIsStable) {
+  // The ten line rules lead the one catalog, in a fixed order; the
+  // semantic rules follow them (AnalyzeCatalog.SeventeenRules).
   const auto& ids = mc::lint::rule_ids();
-  ASSERT_EQ(ids.size(), 10u);
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "raw-reinterpret-cast"),
-            ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "parser-bounds-check"),
-            ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "pipeline-bypass"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "format-bypass"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "catch-swallow"), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), "adhoc-stats"), ids.end());
+  const std::vector<std::string> line_rules = {
+      "raw-reinterpret-cast", "raw-memcpy",          "std-rand",
+      "naked-new",            "naked-delete",        "parser-bounds-check",
+      "pipeline-bypass",      "format-bypass",       "catch-swallow",
+      "adhoc-stats"};
+  ASSERT_GE(ids.size(), line_rules.size());
+  EXPECT_TRUE(std::equal(line_rules.begin(), line_rules.end(), ids.begin()));
 }
 
 TEST(LintFixtures, RawReinterpretCast) {

@@ -1,4 +1,4 @@
-// Internal rule entry points for the tier-2 engine (analyzer.cpp drives
+// Internal rule entry points for the analysis engine (analyzer.cpp drives
 // them; tests go through Analyzer).  Each appends unsuppressed findings —
 // the analyzer applies suppressions, allowlists, and ordering.
 #pragma once
@@ -7,15 +7,27 @@
 #include <string>
 #include <vector>
 
+#include "finding.hpp"
 #include "index.hpp"
-#include "linter.hpp"
 #include "source.hpp"
 #include "token.hpp"
 
 namespace mc::lint::rules {
 
-/// Token-stream port of the ten tier-1 rules, in the tier-1 execution
-/// order (token rules, bounds, pipeline, format, catch, adhoc-stats).
+/// Files sanctioned to construct ModuleSearcher/ModuleParser (the
+/// pipeline-bypass rule's owner set).
+bool pipeline_component_owner(const std::string& file);
+
+/// Files sanctioned to construct pe::ParsedImage / elf::ElfImage (the
+/// format-bypass rule's owner set: the format libraries themselves).
+bool format_plugin_owner(const std::string& file);
+
+/// Files exempt from adhoc-stats and sim-determinism (the telemetry
+/// library itself).
+bool telemetry_owner(const std::string& file);
+
+/// The ten line rules, in their historical execution order (token rules,
+/// bounds, pipeline, format, catch, adhoc-stats).
 void legacy_port(const ScannedSource& src, const std::vector<Token>& toks,
                  const std::string& file, std::vector<Finding>& out);
 

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "linter.hpp"
+#include "finding.hpp"
 
 namespace mc::lint {
 

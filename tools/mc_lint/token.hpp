@@ -1,4 +1,4 @@
-// Tier-2 front end: a real C++ token stream over the sanitized source.
+// Front end: a real C++ token stream over the sanitized source.
 //
 // The tokenizer runs on ScannedSource::code (comments and literal contents
 // already blanked), so it never sees prose.  It is not a full lexer — no
@@ -6,7 +6,7 @@
 // semantic rules depend on: identifiers, maximal-munch punctuation
 // (`::`, `->`, `...`, `==`, ...), string/char literal positions, and the
 // (line, column) of every token so findings and adjacency checks
-// (`.size()`) stay byte-compatible with the tier-1 line scanner.
+// (`.size()`) stay exact to the line and column.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +32,8 @@ struct Token {
   int col = 0;   // 0-based start column in the sanitized line
 };
 
-/// Tokenizes sanitized source.  Preprocessor directive lines (first
-/// non-blank char '#') are skipped entirely: rules reason about code, and
-/// `#include <vector>` must not read as a comparison chain.
+/// Tokenizes sanitized source.  Preprocessor directive lines are tokenized
+/// like code ('#' is a punct).
 std::vector<Token> tokenize(const ScannedSource& src);
 
 // ---- Stream helpers used by every token rule -------------------------------
